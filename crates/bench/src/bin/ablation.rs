@@ -6,8 +6,7 @@
 //! 3. padding-aware vs naive nnz load balancing;
 //! 4. full-block-only extraction in the decomposed formats (coverage vs
 //!    remainder overhead), proxied by BCSR-DEC against BCSR on a
-//!    partially blocked matrix;
-//! 5. VBR vs 1D-VBL variable blocking.
+//!    partially blocked matrix.
 //!
 //! Each variant is timed with the harness's best-of-batches loop and
 //! reported against the first variant of its ablation.
@@ -16,11 +15,11 @@
 
 use spmv_bench::{Align, Args, Table};
 use spmv_core::{Coo, Csr, MatrixShape, SpMv};
-use spmv_formats::{Bcsr, BcsrDec, Vbl, Vbr};
+use spmv_formats::{Bcsr, BcsrDec, Vbl};
 use spmv_gen::{random_vector, GenSpec};
 use spmv_kernels::{BlockShape, KernelImpl};
 use spmv_model::timing::measure_spmv;
-use spmv_parallel::{bcsr_unit_weights, ParallelSpmv};
+use spmv_parallel::{bcsr_unit_weights, PinPolicy, SpmvPool};
 
 /// Times variants into one table, each relative to the first variant
 /// of its ablation.
@@ -98,7 +97,7 @@ fn vbl_chunking(ab: &mut Ablations) {
 }
 
 /// A skewed (power-law) matrix: padding-aware balanced strips vs a
-/// naive equal-row split.
+/// naive equal-row split, each on an unpinned four-worker pool.
 fn load_balance(ab: &mut Ablations) {
     let csr = GenSpec::PowerLaw {
         n: 40_000,
@@ -108,16 +107,24 @@ fn load_balance(ab: &mut Ablations) {
     .build(5);
     let shape = BlockShape::new(1, 2).unwrap();
     let x: Vec<f64> = random_vector(csr.n_cols(), 4);
-    let build = |s: &Csr<f64>| Bcsr::from_csr(s, shape, KernelImpl::Scalar);
-    let balanced = ParallelSpmv::from_csr(
+    let build = move |s: &Csr<f64>| Bcsr::from_csr(s, shape, KernelImpl::Scalar);
+    let balanced = SpmvPool::from_csr(
         &csr,
         4,
         &bcsr_unit_weights(&csr, shape),
         shape.rows(),
         build,
+        PinPolicy::None,
     );
     // Naive: every unit weighs 1, so every strip gets the same row count.
-    let naive = ParallelSpmv::from_csr(&csr, 4, &vec![1u64; csr.n_rows()], 1, build);
+    let naive = SpmvPool::from_csr(
+        &csr,
+        4,
+        &vec![1u64; csr.n_rows()],
+        1,
+        build,
+        PinPolicy::None,
+    );
     ab.time("load-balance-4t", "padding-aware", &balanced, &x);
     ab.time("", "equal-rows", &naive, &x);
 }
@@ -155,29 +162,6 @@ fn dec_threshold(ab: &mut Ablations) {
     ab.time("", "bcsr-dec", &dec, &x);
 }
 
-/// A matrix with repeated row patterns (FEM-like): VBR merges them into
-/// 2-D blocks, 1D-VBL only sees horizontal runs.
-fn variable_blocking(ab: &mut Ablations) {
-    let csr = GenSpec::FemBlocks {
-        nodes: 6_000,
-        dof: 3,
-        neighbors: 8,
-    }
-    .build(13);
-    let vbl = Vbl::from_csr(&csr, KernelImpl::Scalar);
-    let vbr = Vbr::from_csr(&csr);
-    println!(
-        "variable-blocking: 1D-VBL {} blocks / {} bytes; VBR {} blocks / {} bytes",
-        vbl.n_blocks(),
-        vbl.matrix_bytes(),
-        vbr.n_blocks(),
-        vbr.matrix_bytes()
-    );
-    let x: Vec<f64> = random_vector(csr.n_cols(), 6);
-    ab.time("variable-blocking", "1d-vbl", &vbl, &x);
-    ab.time("", "vbr", &vbr, &x);
-}
-
 fn main() {
     let args = Args::from_env();
     if args.flag("help") {
@@ -199,6 +183,5 @@ fn main() {
     vbl_chunking(&mut ab);
     load_balance(&mut ab);
     dec_threshold(&mut ab);
-    variable_blocking(&mut ab);
     println!("{}", ab.table);
 }

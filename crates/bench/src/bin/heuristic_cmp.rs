@@ -11,6 +11,7 @@ use spmv_bench::experiments::modeleval::calibrate;
 use spmv_bench::report::{f2, Table};
 use spmv_bench::Args;
 use spmv_core::MatrixShape;
+use spmv_formats::FormatKind;
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_model::timing::measure_spmv;
 use spmv_model::{
@@ -27,7 +28,7 @@ fn main() {
     // The heuristic's arena: BCSR configurations only.
     let bcsr_configs: Vec<Config> = Config::enumerate(true)
         .into_iter()
-        .filter(|c| matches!(c.block, BlockConfig::Bcsr(_)))
+        .filter(|c| c.block.kind() == FormatKind::Bcsr)
         .collect();
 
     let mut t = Table::new(vec![

@@ -16,6 +16,7 @@ use crate::experiments::modeleval::calibrate;
 use crate::report::{f2, pct, Table};
 use crate::sweep::ExpOpts;
 use spmv_core::{Csr, Precision, SpMv};
+use spmv_formats::FormatKind;
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
 use spmv_model::timing::measure_spmv;
@@ -136,29 +137,23 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> CompressionResult {
         // base space, then pair each with its narrow-index twin at the
         // same block parameter and kernel implementation.
         let ranked = rank(Model::Overlap, csr, &machine, &profile, &base_space);
-        let best_of = |pick: fn(BlockConfig) -> Option<BlockConfig>| {
-            ranked.iter().find_map(|cand| {
-                pick(cand.config.block).map(|narrow| {
-                    (
+        let best_of = |kind: FormatKind| {
+            ranked
+                .iter()
+                .filter(|cand| cand.config.block.kind() == kind)
+                .find_map(|cand| {
+                    let block = cand.config.block.narrow()?;
+                    Some((
                         cand.config,
                         Config {
-                            block: narrow,
+                            block,
                             imp: cand.config.imp,
                         },
-                    )
+                    ))
                 })
-            })
         };
-        let bcsr_pair = best_of(|b| match b {
-            BlockConfig::Bcsr(shape) => Some(BlockConfig::BcsrNarrow(shape)),
-            _ => None,
-        })
-        .expect("base space contains BCSR");
-        let bcsd_pair = best_of(|b| match b {
-            BlockConfig::Bcsd(size) => Some(BlockConfig::BcsdNarrow(size)),
-            _ => None,
-        })
-        .expect("base space contains BCSD");
+        let bcsr_pair = best_of(FormatKind::Bcsr).expect("base space contains BCSR");
+        let bcsd_pair = best_of(FormatKind::Bcsd).expect("base space contains BCSD");
 
         let delta = Config {
             block: BlockConfig::CsrDelta,

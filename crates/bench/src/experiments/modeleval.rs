@@ -20,12 +20,11 @@ use crate::sweep::ExpOpts;
 use spmv_core::{Csr, Precision, SpMv};
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::KernelImpl;
 use spmv_model::timing::measure_spmv;
 use spmv_model::{
-    profile_kernels, select_extended, BlockConfig, Config, MachineProfile, Model, ProfileOptions,
+    profile_kernels, residual_key_for, select_extended, Config, MachineProfile, Model,
+    ProfileOptions,
 };
-use spmv_telemetry::residual::ResidualKey;
 
 /// Per-matrix, per-model evaluation record.
 #[derive(Debug, Clone)]
@@ -69,67 +68,6 @@ pub struct CompressionStat {
     pub predicted: f64,
     /// Measured time, seconds.
     pub real: f64,
-}
-
-/// The format-family label of a block configuration: narrow-index and
-/// delta variants get their own bucket so the compression report can
-/// compare them against their full-width baselines.
-fn family(block: BlockConfig) -> &'static str {
-    match block {
-        BlockConfig::Csr => "CSR",
-        BlockConfig::CsrDelta => "CSR-DELTA",
-        BlockConfig::Bcsr(_) => "BCSR",
-        BlockConfig::BcsrNarrow(_) => "BCSR16",
-        BlockConfig::BcsrDec(_) => "BCSR-DEC",
-        BlockConfig::Bcsd(_) => "BCSD",
-        BlockConfig::BcsdNarrow(_) => "BCSD16",
-        BlockConfig::BcsdDec(_) => "BCSD-DEC",
-        BlockConfig::BcsrMasked(_) => "BCSR-MASK",
-        BlockConfig::BcsdMasked(_) => "BCSD-MASK",
-        BlockConfig::SellCSigma { .. } => "SELL",
-        BlockConfig::SellCSigmaNarrow { .. } => "SELL16",
-    }
-}
-
-/// The block-shape label of a configuration for the residual table:
-/// `-` for unblocked formats, `RxC` for the BCSR family, `bN` for BCSD
-/// diagonal sizes.
-fn shape_label(block: BlockConfig) -> String {
-    match block {
-        BlockConfig::Csr | BlockConfig::CsrDelta => "-".to_string(),
-        BlockConfig::Bcsr(s)
-        | BlockConfig::BcsrDec(s)
-        | BlockConfig::BcsrNarrow(s)
-        | BlockConfig::BcsrMasked(s) => {
-            format!("{}x{}", s.r, s.c)
-        }
-        BlockConfig::Bcsd(b)
-        | BlockConfig::BcsdDec(b)
-        | BlockConfig::BcsdNarrow(b)
-        | BlockConfig::BcsdMasked(b) => {
-            format!("b{b}")
-        }
-        BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
-            if sigma == spmv_formats::SELL_SIGMA_FULL {
-                format!("c{c}sn")
-            } else {
-                format!("c{c}s{sigma}")
-            }
-        }
-    }
-}
-
-/// The residual-tracker key of one (configuration, model) prediction.
-fn residual_key(c: Config, model: Model) -> ResidualKey {
-    ResidualKey {
-        format: family(c.block).to_string(),
-        shape: shape_label(c.block),
-        kernel: match c.imp {
-            KernelImpl::Scalar => "scalar".to_string(),
-            KernelImpl::Simd => "simd".to_string(),
-        },
-        model: model.label().to_string(),
-    }
 }
 
 /// Family display order of the compression report.
@@ -275,7 +213,7 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
                 let pred = model.predict(&c.substats(csr), &machine, &profile);
                 norm_sum += pred / real;
                 dist_sum += (pred - real).abs() / real;
-                residuals.record(&residual_key(c, model), pred, real);
+                residuals.record(&residual_key_for(c, model), pred, real);
             }
             avg_norm_pred[mi] = norm_sum / reals.len() as f64;
             avg_abs_dist[mi] = dist_sum / reals.len() as f64;
@@ -297,7 +235,7 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
         for fam in FAMILIES {
             let best = reals
                 .iter()
-                .filter(|(c, ..)| family(c.block) == fam)
+                .filter(|(c, ..)| c.block.family() == fam)
                 .min_by(|a, b| a.1.total_cmp(&b.1));
             if let Some(&(c, real, idx_pn, fill_pn)) = best {
                 compression.push(CompressionStat {

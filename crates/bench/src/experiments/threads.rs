@@ -14,51 +14,18 @@ use spmv_formats::FormatKind;
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
 use spmv_model::timing::measure_spmv;
-use spmv_model::{BlockConfig, Config};
-use spmv_parallel::{
-    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, sell_unit_weights, PinPolicy, SpmvPool,
-};
+use spmv_model::Config;
+use spmv_parallel::{PinPolicy, Placement};
 use std::collections::BTreeMap;
 
 /// Thread counts evaluated by Figure 2.
 pub const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Per-unit nonzero weights for formats without padding, aligned to
-/// `unit` rows.
-fn unit_nnz_weights<T: spmv_core::Scalar>(csr: &Csr<T>, unit: usize) -> Vec<u64> {
-    let n_units = csr.n_rows().div_ceil(unit);
-    let mut w = vec![0u64; n_units];
-    for i in 0..csr.n_rows() {
-        w[i / unit] += csr.row_nnz(i) as u64;
-    }
-    w
-}
-
-/// Builds the padding-aware partition weights and unit height for a
-/// configuration (§V-A: padded methods weigh their padding zeros too).
-fn partition_inputs<T: SimdScalar>(csr: &Csr<T>, config: Config) -> (Vec<u64>, usize) {
-    match config.block {
-        BlockConfig::Csr | BlockConfig::CsrDelta => (csr_unit_weights(csr), 1),
-        BlockConfig::Bcsr(shape) | BlockConfig::BcsrNarrow(shape) => {
-            (bcsr_unit_weights(csr, shape), shape.rows())
-        }
-        BlockConfig::BcsrDec(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
-        BlockConfig::Bcsd(b) | BlockConfig::BcsdNarrow(b) => (bcsd_unit_weights(csr, b), b),
-        BlockConfig::BcsdDec(b) => (unit_nnz_weights(csr, b), b),
-        // Masked formats store no padding, so true nonzeros are the work.
-        BlockConfig::BcsrMasked(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
-        BlockConfig::BcsdMasked(b) => (unit_nnz_weights(csr, b), b),
-        // SELL strips split on slice boundaries; weights count padded slices.
-        BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
-            (sell_unit_weights(csr, c), c)
-        }
-    }
-}
-
 /// Measures `config` on `csr` at the given thread count.
 ///
-/// Runs on a persistent, core-pinned [`SpmvPool`] rather than per-call
-/// scoped threads, so the measured time is the kernel plus one epoch
+/// Runs on the persistent, core-pinned pool of [`Config::pooled`]
+/// (padding-aware, block-aligned strips) rather than per-call scoped
+/// threads, so the measured time is the kernel plus one epoch
 /// barrier — not a thread spawn/join per multiply, which used to
 /// dominate on small matrices (see `docs/PARALLEL.md` and the
 /// "Measurement methodology" section of EXPERIMENTS.md).
@@ -68,15 +35,7 @@ pub fn measure_threaded<T: SimdScalar>(
     threads: usize,
     opts: &ExpOpts,
 ) -> f64 {
-    let (weights, unit) = partition_inputs(csr, config);
-    let pool = SpmvPool::from_csr(
-        csr,
-        threads,
-        &weights,
-        unit,
-        |s| config.build(s),
-        PinPolicy::Compact,
-    );
+    let pool = config.pooled(csr, threads, Placement::pinned(PinPolicy::Compact));
     let x: Vec<T> = random_vector(csr.n_cols(), opts.seed);
     measure_spmv(&pool, &x, opts.min_time, opts.batches)
 }
@@ -220,21 +179,22 @@ mod tests {
 
     #[test]
     fn partition_inputs_align_units() {
+        // The measured pool splits BCSR on block rows: 36 rows of 3-dof
+        // nodes, BCSR 3x2, so every strip starts on a node boundary.
         let csr = GenSpec::FemBlocks {
             nodes: 12,
             dof: 3,
             neighbors: 3,
         }
         .build(2);
-        let shape = spmv_kernels::BlockShape::new(3, 2).unwrap();
-        let (w, unit) = partition_inputs(
-            &csr,
-            Config {
-                block: BlockConfig::Bcsr(shape),
-                imp: spmv_kernels::KernelImpl::Scalar,
-            },
-        );
-        assert_eq!(unit, 3);
-        assert_eq!(w.len(), 12); // 36 rows / height 3
+        let config = Config {
+            block: spmv_model::BlockConfig::Bcsr(spmv_kernels::BlockShape::new(3, 2).unwrap()),
+            imp: spmv_kernels::KernelImpl::Scalar,
+        };
+        for threads in THREADS {
+            let pool = config.pooled(&csr, threads, Placement::none());
+            assert_eq!(pool.strip_rows().last().map(|r| r.end), Some(36));
+            assert!(pool.strip_rows().iter().all(|r| r.start % 3 == 0));
+        }
     }
 }

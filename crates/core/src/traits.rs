@@ -13,8 +13,8 @@ pub trait MatrixShape {
 /// Sparse matrix-vector multiplication, `y = A * x`.
 ///
 /// Implemented by every storage format in the workspace (CSR, BCSR, BCSD,
-/// the decomposed variants, 1D-VBL, and VBR), so that the evaluation
-/// harness, the performance models, and the parallel driver can treat all
+/// the decomposed variants, 1D-VBL, ...), so that the evaluation
+/// harness, the performance models, and the worker pool can treat all
 /// of them uniformly.
 ///
 /// Besides the kernel itself the trait exposes the two quantities the

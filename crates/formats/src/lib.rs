@@ -14,7 +14,6 @@
 //! | [`BcsrMasked`] | BCSR-MASK | fixed-size 2-D blocks, occupancy masks, no padding (extension) |
 //! | [`BcsdMasked`] | BCSD-MASK | fixed-size diagonal blocks, occupancy masks, no padding (extension) |
 //! | [`Vbl`] | 1D-VBL | variable-size 1-D blocks, no padding |
-//! | [`Vbr`] | VBR | variable-size 2-D blocks (described in §II, not in the model study) |
 //! | [`CsrDelta`] | CSR-Δ | delta-encoded, narrow-width column indices (extension) |
 //! | [`SellCSigma`] | SELL-C-σ | sliced ELLPACK, σ-windowed row sorting, padding (extension) |
 //!
@@ -41,7 +40,6 @@ mod narrow;
 pub mod sellc;
 pub mod stats;
 pub mod vbl;
-pub mod vbr;
 
 pub use bcsd::Bcsd;
 pub use bcsr::Bcsr;
@@ -54,7 +52,6 @@ pub use stats::{
     bcsr_stats_sampled, sellc_stats, vbl_stats, FormatStats,
 };
 pub use vbl::Vbl;
-pub use vbr::Vbr;
 
 use core::fmt;
 use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
@@ -149,8 +146,6 @@ pub enum FormatKind {
     BcsdMasked,
     /// One-dimensional Variable Block Length.
     Vbl,
-    /// Variable Block Row (§II extension; not part of the model study).
-    Vbr,
     /// Delta-encoded CSR (index-compression extension beyond the paper).
     CsrDelta,
     /// SELL-C-σ: sliced ELLPACK with σ-windowed row sorting
@@ -170,7 +165,6 @@ impl FormatKind {
             FormatKind::BcsrMasked => "BCSR-MASK",
             FormatKind::BcsdMasked => "BCSD-MASK",
             FormatKind::Vbl => "1D-VBL",
-            FormatKind::Vbr => "VBR",
             FormatKind::CsrDelta => "CSR-DELTA",
             FormatKind::SellCSigma => "SELL",
         }
@@ -245,7 +239,6 @@ mod tests {
     #[test]
     fn modeled_excludes_variable_size() {
         assert!(!FormatKind::MODELED.contains(&FormatKind::Vbl));
-        assert!(!FormatKind::MODELED.contains(&FormatKind::Vbr));
         assert!(FormatKind::MODELED.contains(&FormatKind::Csr));
     }
 

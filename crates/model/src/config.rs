@@ -1,7 +1,9 @@
 //! The (format, block, implementation) configuration space the models
 //! search.
 
+use crate::models::Model;
 use core::fmt;
+use core::ops::Range;
 use spmv_core::{Csr, Index, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
 use spmv_formats::{
     bcsd_dec_stats, bcsd_masked_stats, bcsd_stats, bcsr_dec_stats, bcsr_masked_stats, bcsr_stats,
@@ -10,6 +12,11 @@ use spmv_formats::{
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+use spmv_parallel::{
+    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, sell_unit_weights,
+    units_to_rows, Placement, SpmvPool,
+};
+use spmv_telemetry::residual::ResidualKey;
 
 /// A storage format plus its block parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,6 +78,86 @@ impl BlockConfig {
             BlockConfig::BcsdMasked(_) => FormatKind::BcsdMasked,
             BlockConfig::SellCSigma { .. } | BlockConfig::SellCSigmaNarrow { .. } => {
                 FormatKind::SellCSigma
+            }
+        }
+    }
+
+    /// The format-family label residual keys and evaluation reports
+    /// bucket by: narrow-index and delta variants get their own family so
+    /// they compare against their full-width baselines.
+    pub fn family(self) -> &'static str {
+        match self {
+            BlockConfig::Csr => "CSR",
+            BlockConfig::CsrDelta => "CSR-DELTA",
+            BlockConfig::Bcsr(_) => "BCSR",
+            BlockConfig::BcsrNarrow(_) => "BCSR16",
+            BlockConfig::BcsrDec(_) => "BCSR-DEC",
+            BlockConfig::Bcsd(_) => "BCSD",
+            BlockConfig::BcsdNarrow(_) => "BCSD16",
+            BlockConfig::BcsdDec(_) => "BCSD-DEC",
+            BlockConfig::BcsrMasked(_) => "BCSR-MASK",
+            BlockConfig::BcsdMasked(_) => "BCSD-MASK",
+            BlockConfig::SellCSigma { .. } => "SELL",
+            BlockConfig::SellCSigmaNarrow { .. } => "SELL16",
+        }
+    }
+
+    /// The block-parameter label: `-` for unblocked formats, `RxC` for
+    /// the BCSR family, `bN` for BCSD diagonal sizes and `cCsS` for
+    /// SELL (`sn` for the global sort).
+    pub fn shape_label(self) -> String {
+        match self {
+            BlockConfig::Csr | BlockConfig::CsrDelta => "-".to_string(),
+            BlockConfig::Bcsr(s)
+            | BlockConfig::BcsrDec(s)
+            | BlockConfig::BcsrNarrow(s)
+            | BlockConfig::BcsrMasked(s) => format!("{}x{}", s.r, s.c),
+            BlockConfig::Bcsd(b)
+            | BlockConfig::BcsdDec(b)
+            | BlockConfig::BcsdNarrow(b)
+            | BlockConfig::BcsdMasked(b) => format!("b{b}"),
+            BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
+                format!("c{c}s{}", SigmaLabel(sigma))
+            }
+        }
+    }
+
+    /// The narrow-index twin of a full-width configuration, if the
+    /// format has one.
+    pub fn narrow(self) -> Option<BlockConfig> {
+        match self {
+            BlockConfig::Bcsr(s) => Some(BlockConfig::BcsrNarrow(s)),
+            BlockConfig::Bcsd(b) => Some(BlockConfig::BcsdNarrow(b)),
+            BlockConfig::SellCSigma { c, sigma } => {
+                Some(BlockConfig::SellCSigmaNarrow { c, sigma })
+            }
+            _ => None,
+        }
+    }
+
+    /// The §V-A partition inputs: one weight per unit of `unit_height`
+    /// rows, counting stored elements. Padded formats weigh their padding
+    /// zeros and split on block rows, segments or slices, so no strip
+    /// starts mid-block; padding-free blocked formats weigh true
+    /// nonzeros on the same units.
+    fn unit_weights<T: Scalar>(self, csr: &Csr<T>) -> (Vec<u64>, usize) {
+        let nnz_per_unit = |h: usize| {
+            let mut w = vec![0u64; csr.n_rows().div_ceil(h)];
+            for i in 0..csr.n_rows() {
+                w[i / h] += csr.row_nnz(i) as u64;
+            }
+            (w, h)
+        };
+        match self {
+            BlockConfig::Csr | BlockConfig::CsrDelta => (csr_unit_weights(csr), 1),
+            BlockConfig::Bcsr(s) | BlockConfig::BcsrNarrow(s) => {
+                (bcsr_unit_weights(csr, s), s.rows())
+            }
+            BlockConfig::BcsrDec(s) | BlockConfig::BcsrMasked(s) => nnz_per_unit(s.rows()),
+            BlockConfig::Bcsd(b) | BlockConfig::BcsdNarrow(b) => (bcsd_unit_weights(csr, b), b),
+            BlockConfig::BcsdDec(b) | BlockConfig::BcsdMasked(b) => nnz_per_unit(b),
+            BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
+                (sell_unit_weights(csr, c), c)
             }
         }
     }
@@ -283,6 +370,45 @@ impl Config {
         }
     }
 
+    /// The row strips a `threads`-way split of `csr` gives this
+    /// configuration: exactly `threads` contiguous ranges covering every
+    /// row, balanced by [`BlockConfig`]'s stored-element weights and
+    /// aligned to its block rows (tail ranges may be empty). The pool of
+    /// [`Config::pooled`] runs the non-empty ones, and the threaded
+    /// models (`crate::multicore`) predict on the same strips.
+    pub fn strip_rows<T: Scalar>(&self, csr: &Csr<T>, threads: usize) -> Vec<Range<usize>> {
+        let (weights, unit_height) = self.block.unit_weights(csr);
+        units_to_rows(
+            &partition_units(&weights, threads),
+            unit_height,
+            csr.n_rows(),
+        )
+    }
+
+    /// Materializes the configuration for `csr` on a persistent
+    /// [`SpmvPool`] of up to `n_threads` workers: each strip of
+    /// [`Config::strip_rows`] is built with [`Config::build`], and
+    /// `placement` pins the workers (plus the NUMA levers, see
+    /// [`Placement`]; an nnz split re-balances the strips around the
+    /// sheared row).
+    pub fn pooled<T: SimdScalar>(
+        &self,
+        csr: &Csr<T>,
+        n_threads: usize,
+        placement: Placement,
+    ) -> SpmvPool<T> {
+        let (weights, unit_height) = self.block.unit_weights(csr);
+        let config = *self;
+        SpmvPool::from_csr_placed(
+            csr,
+            n_threads,
+            &weights,
+            unit_height,
+            move |strip| config.build(strip),
+            placement,
+        )
+    }
+
     /// Computes the per-submatrix statistics the models need, without
     /// materializing the format. The returned byte totals are exact — the
     /// test suite checks them against [`Config::build`].
@@ -466,6 +592,18 @@ impl fmt::Display for Config {
             write!(f, " simd")?;
         }
         Ok(())
+    }
+}
+
+/// The canonical residual-tracker key of one (configuration, model)
+/// prediction population. Serving-time residuals and the offline
+/// `modeleval` rows both use it, so they land in comparable buckets.
+pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
+    ResidualKey {
+        format: config.block.family().to_string(),
+        shape: config.block.shape_label(),
+        kernel: config.imp.to_string(),
+        model: model.label().to_string(),
     }
 }
 
@@ -911,5 +1049,67 @@ mod tests {
         let stats = c.substats(&csr);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[1].key, KernelKey::Csr);
+    }
+
+    #[test]
+    fn pooled_strips_are_unit_aligned_and_bitwise_equal_to_csr() {
+        let csr = fixture();
+        let x: Vec<f64> = (0..31).map(|i| 1.0 + (i % 3) as f64).collect();
+        let want = csr.spmv(&x);
+        for config in Config::enumerate_extended(true) {
+            let (_, unit_height) = config.block.unit_weights(&csr);
+            for threads in 1..=4 {
+                let pool = config.pooled(&csr, threads, Placement::none());
+                let strips = pool.strip_rows();
+                assert!(
+                    strips.iter().all(|r| r.start % unit_height == 0),
+                    "{config} threads={threads}: {strips:?}"
+                );
+                assert_eq!(strips.last().map(|r| r.end), Some(29), "{config}");
+                assert_eq!(pool.spmv(&x), want, "{config} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn family_and_shape_labels_keep_the_residual_key_strings() {
+        // The residual-key grammar spelled out independently of
+        // `family`/`shape_label`: serving residuals and `modeleval` rows
+        // must keep landing in the same buckets.
+        let expected = |block: BlockConfig| -> (&str, String) {
+            let rc = |s: BlockShape| format!("{}x{}", s.r, s.c);
+            let sell = |c: usize, sigma: usize| {
+                if sigma == SELL_SIGMA_FULL {
+                    format!("c{c}sn")
+                } else {
+                    format!("c{c}s{sigma}")
+                }
+            };
+            match block {
+                BlockConfig::Csr => ("CSR", "-".to_string()),
+                BlockConfig::CsrDelta => ("CSR-DELTA", "-".to_string()),
+                BlockConfig::Bcsr(s) => ("BCSR", rc(s)),
+                BlockConfig::BcsrNarrow(s) => ("BCSR16", rc(s)),
+                BlockConfig::BcsrDec(s) => ("BCSR-DEC", rc(s)),
+                BlockConfig::Bcsd(b) => ("BCSD", format!("b{b}")),
+                BlockConfig::BcsdNarrow(b) => ("BCSD16", format!("b{b}")),
+                BlockConfig::BcsdDec(b) => ("BCSD-DEC", format!("b{b}")),
+                BlockConfig::BcsrMasked(s) => ("BCSR-MASK", rc(s)),
+                BlockConfig::BcsdMasked(b) => ("BCSD-MASK", format!("b{b}")),
+                BlockConfig::SellCSigma { c, sigma } => ("SELL", sell(c, sigma)),
+                BlockConfig::SellCSigmaNarrow { c, sigma } => ("SELL16", sell(c, sigma)),
+            }
+        };
+        for config in Config::enumerate_extended(true) {
+            let (family, shape) = expected(config.block);
+            let key = residual_key_for(config, Model::Overlap);
+            assert_eq!(key.format, family, "{config}");
+            assert_eq!(key.shape, shape, "{config}");
+            let kernel = match config.imp {
+                KernelImpl::Scalar => "scalar",
+                KernelImpl::Simd => "simd",
+            };
+            assert_eq!(key.kernel, kernel, "{config}");
+        }
     }
 }

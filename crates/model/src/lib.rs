@@ -54,7 +54,7 @@ pub mod profile;
 pub mod select;
 pub mod timing;
 
-pub use config::{BlockConfig, BuiltFormat, Config, KernelKey, SubStat};
+pub use config::{residual_key_for, BlockConfig, BuiltFormat, Config, KernelKey, SubStat};
 pub use heuristic::{profile_dense, select_bcsr_shape, DenseProfile};
 pub use latency::{
     input_vector_miss_estimate, measure_latency, predict_overlap_lat, LatencyProfile,
@@ -62,7 +62,7 @@ pub use latency::{
 pub use machine::{stream_triad_bandwidth, stream_triad_bandwidth_with, MachineProfile};
 pub use models::Model;
 pub use multicore::{
-    predict_threaded, predict_threaded_hierarchy, predicted_saturation_point, strip_extents,
+    predict_threaded, predict_threaded_hierarchy, predicted_saturation_point,
     BandwidthHierarchy, DomainBandwidth,
 };
 pub use persist::{load_profile, read_profile, save_profile, write_profile};

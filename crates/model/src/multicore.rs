@@ -32,44 +32,11 @@ use crate::config::Config;
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::KernelProfile;
-use spmv_core::{Csr, MatrixShape, Scalar};
-
-/// Splits row indices into `threads` contiguous strips balanced by
-/// nonzeros — the model-side mirror of `spmv_parallel::partition_units`
-/// over `csr_unit_weights`, re-implemented here to keep the model
-/// crate's dependencies minimal.
-///
-/// Public so the duplication is testable: `tests/numa_partition.rs`
-/// pins this function differentially against the runtime splitter over
-/// a seeded matrix corpus, so the two copies cannot drift apart
-/// silently. Per-strip predictions
-/// ([`predict_threaded`]/[`predict_threaded_hierarchy`]) are only
-/// meaningful because these extents match the strips the pool actually
-/// runs.
-pub fn strip_extents<T: Scalar>(csr: &Csr<T>, threads: usize) -> Vec<core::ops::Range<usize>> {
-    let total = csr.nnz() as u64;
-    let mut out = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for p in 0..threads {
-        let mut end = start;
-        if p == threads - 1 {
-            end = csr.n_rows();
-        } else {
-            let target = total * (p as u64 + 1) / threads as u64;
-            while end < csr.n_rows() && acc < target {
-                acc += csr.row_nnz(end) as u64;
-                end += 1;
-            }
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
+use spmv_core::{Csr, Scalar};
 
 /// Predicted seconds per SpMV for `config` on `csr` executed with
-/// `threads` bandwidth-sharing threads.
+/// `threads` bandwidth-sharing threads, one per strip of
+/// [`Config::strip_rows`] — the strips `Config::pooled` runs.
 pub fn predict_threaded<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -86,7 +53,8 @@ pub fn predict_threaded<T: Scalar>(
         bandwidth: machine.bandwidth / threads as f64,
         ..*machine
     };
-    strip_extents(csr, threads)
+    config
+        .strip_rows(csr, threads)
         .into_iter()
         .map(|rows| {
             let strip = csr.row_slice(rows);
@@ -142,7 +110,8 @@ pub fn predict_threaded_measured<T: Scalar>(
         bandwidth: machine.bandwidth / threads as f64,
         ..*machine
     };
-    let mean_pred = strip_extents(csr, threads)
+    let mean_pred = config
+        .strip_rows(csr, threads)
         .into_iter()
         .map(|rows| {
             let strip = csr.row_slice(rows);
@@ -232,7 +201,7 @@ impl BandwidthHierarchy {
 
 /// Predicted seconds per SpMV under a per-domain bandwidth hierarchy.
 ///
-/// Strip `s` (extents from [`strip_extents`], the same split the pool
+/// Strip `s` (from [`Config::strip_rows`], the same split the pool
 /// runs) executes on domain `exec_domains[s]` — defaulting to the
 /// round-robin deal `s % n_domains` that `PinPolicy::Domains` uses —
 /// and its matrix pages live on `pages_on` when given (no first-touch:
@@ -284,7 +253,8 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
         };
         return model.predict(&config.substats(csr), &eff, profile);
     }
-    strip_extents(csr, threads)
+    config
+        .strip_rows(csr, threads)
         .into_iter()
         .enumerate()
         .map(|(s, rows)| {
@@ -354,7 +324,7 @@ mod tests {
         }
         .build(2);
         for threads in 1..6 {
-            let strips = strip_extents(&csr, threads);
+            let strips = Config::CSR.strip_rows(&csr, threads);
             assert_eq!(strips.len(), threads);
             assert_eq!(strips[0].start, 0);
             assert_eq!(strips.last().unwrap().end, 101);

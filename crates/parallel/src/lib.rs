@@ -1,27 +1,15 @@
 #![warn(missing_docs)]
 
-//! Multithreaded SpMV: static nnz-balanced row partitioning plus two
-//! execution drivers — scoped threads for one-shot multiplies and a
-//! persistent, optionally core-pinned worker pool for repeated ones.
+//! Multithreaded SpMV: static nnz-balanced row partitioning plus a
+//! persistent, optionally core-pinned worker pool that runs the strips.
 //!
 //! Reproduces the paper's multithreaded setup (§V-A): row-wise split into
 //! as many portions as threads, statically balanced so every thread gets
 //! the same number of *stored* elements — for padded formats that count
 //! includes the padding zeros. [`partition`] computes the weights and the
-//! split; [`ParallelSpmv`] runs the strips with per-call scoped threads;
-//! [`SpmvPool`] hosts the same strips on long-lived workers driven by an
-//! epoch barrier, with optional core pinning ([`affinity`]) and per-strip
-//! timing hooks for the multicore model.
-//!
-//! # Which driver?
-//!
-//! | | [`ParallelSpmv`] | [`SpmvPool`] |
-//! |---|---|---|
-//! | threads | spawned per call | spawned once, reused |
-//! | per-call cost | spawn + join per strip | epoch barrier (spin-then-park) |
-//! | pinning | no | [`PinPolicy`] |
-//! | timing hooks | no | [`StripReport`] per strip |
-//! | best for | a single multiply | solvers, benchmarks, services |
+//! split; [`SpmvPool`] hosts the strips on long-lived workers driven by
+//! an epoch barrier, with optional core pinning ([`affinity`]) and
+//! per-strip timing hooks for the multicore model.
 //!
 //! # Example
 //!
@@ -40,13 +28,11 @@
 //! ```
 
 pub mod affinity;
-pub mod driver;
 pub mod partition;
 pub mod pool;
 pub mod topology;
 
 pub use affinity::{run_pinned, PinPolicy};
-pub use driver::ParallelSpmv;
 pub use partition::{
     bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, heavy_unit, partition_units,
     sell_unit_weights, split_segments, units_to_rows,

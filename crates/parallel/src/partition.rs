@@ -28,7 +28,7 @@ use spmv_kernels::BlockShape;
 ///   0, and end at `weights.len()` — every unit lands in exactly one
 ///   range;
 /// * ranges may be **empty** (more parts than units, or zero-weight
-///   tails); both drivers drop empty ranges before spawning threads,
+///   tails); the pool drops empty ranges before spawning workers,
 ///   so a strip is never empty;
 /// * no part overshoots the ideal share `total/parts` by more than one
 ///   unit's weight.

@@ -1,14 +1,13 @@
 //! A persistent, optionally core-pinned worker pool for repeated SpMV.
 //!
-//! [`crate::ParallelSpmv`] spawns scoped threads on *every* call, so a
-//! thread spawn + join (tens of microseconds) is paid per multiply —
-//! acceptable for a one-shot product, but it dominates exactly the
-//! small/medium matrices where the paper's models are most
-//! discriminating, and an iterative solver calling SpMV thousands of
-//! times cannot afford it. [`SpmvPool`] spawns its workers **once**:
+//! Spawning threads per multiply costs a spawn + join (tens of
+//! microseconds) on every call, which dominates exactly the small/medium
+//! matrices where the paper's models are most discriminating, and an
+//! iterative solver calling SpMV thousands of times cannot afford it.
+//! [`SpmvPool`] spawns its workers **once**:
 //!
-//! * each worker owns its row strip (the same padding-aware partitioning
-//!   as the scoped driver) and is optionally pinned to a core
+//! * each worker owns its row strip (a padding-aware, weight-balanced
+//!   partition, see [`crate::partition`]) and is optionally pinned to a core
 //!   ([`crate::affinity`]);
 //! * every [`SpMv::spmv_into`] call is one *epoch*: the driver publishes
 //!   the input vector, bumps an atomic epoch counter, and the workers —
@@ -58,7 +57,6 @@ use std::thread::{self, JoinHandle, Thread, ThreadId};
 use std::time::{Duration, Instant};
 
 use crate::affinity::PinPolicy;
-use crate::driver::ParallelSpmv;
 use crate::partition::{heavy_unit, partition_units, split_segments, units_to_rows};
 use crate::topology::Topology;
 use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
@@ -632,32 +630,33 @@ impl<T: Scalar> SpmvPool<T> {
         }
     }
 
-    /// Consumes a scoped-thread [`ParallelSpmv`] and re-hosts its strips
-    /// on a persistent pool.
-    pub fn from_parallel<F>(par: ParallelSpmv<F>, pin: PinPolicy) -> Self
-    where
-        F: SpMvMulti<T> + Send + 'static,
-    {
-        let (strips, n_rows, n_cols) = par.into_parts();
-        Self::new(strips, n_rows, n_cols, pin)
-    }
-
-    /// Partitions `csr` into `n_threads` weight-balanced strips (same
-    /// rules as [`ParallelSpmv::from_csr`]) and hosts them on a pool.
+    /// Partitions `csr` into `n_threads` strips balanced by `unit_weights`
+    /// (one weight per unit of `unit_height` rows — padding-aware weights
+    /// come from [`crate::partition`]), converts each strip with `build`
+    /// and hosts the strips on a pool pinned under `pin`.
+    ///
+    /// `unit_height` keeps strip boundaries aligned to block rows or
+    /// segments, so blocked strips never split a block. Empty strips are
+    /// dropped, so `n_workers() <= n_threads`. Same as
+    /// [`SpmvPool::from_csr_placed`] with [`Placement::pinned`].
     pub fn from_csr<F>(
         csr: &Csr<T>,
         n_threads: usize,
         unit_weights: &[u64],
         unit_height: usize,
-        build: impl Fn(&Csr<T>) -> F,
+        build: impl Fn(&Csr<T>) -> F + Send + Sync + 'static,
         pin: PinPolicy,
     ) -> Self
     where
         F: SpMvMulti<T> + Send + 'static,
     {
-        Self::from_parallel(
-            ParallelSpmv::from_csr(csr, n_threads, unit_weights, unit_height, build),
-            pin,
+        Self::from_csr_placed(
+            csr,
+            n_threads,
+            unit_weights,
+            unit_height,
+            build,
+            Placement::pinned(pin),
         )
     }
 
@@ -690,6 +689,11 @@ impl<T: Scalar> SpmvPool<T> {
     {
         assert!(n_threads > 0, "at least one thread required");
         let n_rows = csr.n_rows();
+        assert_eq!(
+            unit_weights.len(),
+            n_rows.div_ceil(unit_height),
+            "one weight per unit expected"
+        );
         let split_row = if placement.nnz_split && unit_height == 1 {
             heavy_unit(unit_weights, n_threads)
         } else {
@@ -1332,13 +1336,91 @@ mod tests {
     }
 
     #[test]
-    fn nnz_and_bytes_aggregate_like_scoped_driver() {
+    fn nnz_and_bytes_aggregate_over_strips() {
         let csr = fixture(60, 60);
-        let par = ParallelSpmv::from_csr(&csr, 4, &csr_unit_weights(&csr), 1, Csr::clone);
-        let (par_nnz, par_bytes) = (par.nnz_stored(), par.matrix_bytes());
-        let pool = SpmvPool::from_parallel(par, PinPolicy::None);
-        assert_eq!(pool.nnz_stored(), par_nnz);
-        assert_eq!(pool.matrix_bytes(), par_bytes);
+        let pool = pool_for(&csr, 4);
+        assert_eq!(pool.nnz_stored(), csr.nnz());
+        // Strip row_ptr arrays are shorter than the full matrix's, so the
+        // total matrix bytes may differ slightly; values and col_ind match.
+        assert!(pool.matrix_bytes() >= csr.nnz() * (8 + 4));
+    }
+
+    #[test]
+    fn nnz_and_bytes_aggregate_like_scoped_driver() {
+        // A scoped per-call driver sums its strips' footprints; the pool
+        // must report the same totals for the same strips.
+        let csr = fixture(60, 60);
+        let pool = pool_for(&csr, 4);
+        let strip_nnz: usize = pool
+            .strip_rows()
+            .into_iter()
+            .map(|rows| csr.row_slice(rows).nnz())
+            .sum();
+        assert_eq!(pool.nnz_stored(), strip_nnz);
+        let strip_bytes: usize = pool
+            .strip_rows()
+            .into_iter()
+            .map(|rows| csr.row_slice(rows).matrix_bytes())
+            .sum();
+        assert_eq!(pool.matrix_bytes(), strip_bytes);
+    }
+
+    #[test]
+    fn no_strip_is_ever_empty() {
+        // n_threads far above the unit count: the partitioner produces
+        // empty tail ranges, but none may survive into a strip.
+        for (n, threads) in [(1usize, 8usize), (3, 16), (5, 5), (7, 3)] {
+            let csr = fixture(n, 6);
+            let pool = pool_for(&csr, threads);
+            assert!(pool.n_workers() >= 1);
+            for rows in pool.strip_rows() {
+                assert!(
+                    !rows.is_empty(),
+                    "{n} rows / {threads} threads left an empty strip"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_units_blocked() {
+        // Units of 4 rows with more threads than units: strips stay
+        // aligned and non-empty, and the product is unchanged.
+        let csr = fixture(10, 12);
+        let weights: Vec<u64> = csr_unit_weights(&csr)
+            .chunks(4)
+            .map(|unit| unit.iter().sum())
+            .collect();
+        let pool = SpmvPool::from_csr(&csr, 9, &weights, 4, Csr::clone, PinPolicy::None);
+        assert!(pool.n_workers() <= 3);
+        for rows in pool.strip_rows() {
+            assert!(!rows.is_empty());
+            assert_eq!(rows.start % 4, 0);
+        }
+        let x = vec![1.0; 12];
+        assert_eq!(pool.spmv(&x), csr.spmv(&x));
+    }
+
+    #[test]
+    fn single_strip_zeroes_uncovered_rows() {
+        // One worker over a matrix whose trailing rows hold no nonzeros:
+        // every output row must still be overwritten.
+        let csr = Csr::from_coo(&Coo::from_triplets(6, 4, vec![(0, 0, 2.0), (1, 3, 4.0)]).unwrap());
+        let pool = pool_for(&csr, 1);
+        assert_eq!(pool.n_workers(), 1);
+        let mut y = vec![f64::NAN; 6]; // poison: stale values must be overwritten
+        pool.spmv_into(&[1.0; 4], &mut y);
+        assert_eq!(y, csr.spmv(&[1.0; 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per unit expected")]
+    fn short_unit_weights_are_rejected() {
+        // One weight short: the last unit would be left out of every
+        // strip and its row would silently come back as zero.
+        let csr = fixture(10, 10);
+        let weights = csr_unit_weights(&csr);
+        let _ = SpmvPool::from_csr_placed(&csr, 2, &weights[..9], 1, Csr::clone, Placement::none());
     }
 
     #[test]

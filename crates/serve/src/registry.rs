@@ -30,11 +30,9 @@ use std::sync::{Arc, Mutex};
 
 use spmv_core::{Csr, MatrixShape, SpMv, SpMvMulti};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::KernelImpl;
-use spmv_model::{
-    select_extended, BlockConfig, BuiltFormat, Config, KernelProfile, MachineProfile, Model,
-};
-use spmv_parallel::{csr_unit_weights, sell_unit_weights, Placement, PinPolicy, SpmvPool};
+pub use spmv_model::residual_key_for;
+use spmv_model::{select_extended, BuiltFormat, Config, KernelProfile, MachineProfile, Model};
+use spmv_parallel::{Placement, PinPolicy, SpmvPool};
 use spmv_telemetry::residual::ResidualKey;
 
 /// Identity of a matrix in the registry: an opaque 64-bit id chosen by
@@ -63,58 +61,6 @@ pub struct Selection {
     pub model: Model,
     /// Expected seconds for one single-vector SpMV.
     pub predicted: f64,
-}
-
-/// The canonical residual-tracker key of one (configuration, model)
-/// prediction population — the same labeling the `modeleval` harness
-/// writes, so serving-time residuals and offline evaluation rows land in
-/// comparable buckets.
-pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
-    let (format, shape) = match config.block {
-        BlockConfig::Csr => ("CSR", "-".to_string()),
-        BlockConfig::CsrDelta => ("CSR-DELTA", "-".to_string()),
-        BlockConfig::Bcsr(s) => ("BCSR", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsrNarrow(s) => ("BCSR16", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsrDec(s) => ("BCSR-DEC", format!("{}x{}", s.r, s.c)),
-        BlockConfig::Bcsd(b) => ("BCSD", format!("b{b}")),
-        BlockConfig::BcsdNarrow(b) => ("BCSD16", format!("b{b}")),
-        BlockConfig::BcsdDec(b) => ("BCSD-DEC", format!("b{b}")),
-        BlockConfig::BcsrMasked(s) => ("BCSR-MASK", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsdMasked(b) => ("BCSD-MASK", format!("b{b}")),
-        BlockConfig::SellCSigma { c, sigma } => ("SELL", sell_shape_label(c, sigma)),
-        BlockConfig::SellCSigmaNarrow { c, sigma } => ("SELL16", sell_shape_label(c, sigma)),
-    };
-    ResidualKey {
-        format: format.to_string(),
-        shape,
-        kernel: match config.imp {
-            KernelImpl::Scalar => "scalar".to_string(),
-            KernelImpl::Simd => "simd".to_string(),
-        },
-        model: model.label().to_string(),
-    }
-}
-
-fn sell_shape_label(c: usize, sigma: usize) -> String {
-    if sigma == spmv_formats::SELL_SIGMA_FULL {
-        format!("c{c}sn")
-    } else {
-        format!("c{c}s{sigma}")
-    }
-}
-
-/// The pool partitioning inputs for `config`: per-unit weights and the
-/// unit height strips are aligned to. SELL configurations partition on
-/// slice boundaries (units of `c` rows, weighted by the padded slice
-/// storage) so every worker's local σ-windowed conversion starts on a
-/// slice edge; everything else balances per-row nonzeros.
-fn pool_inputs<T: SimdScalar>(config: Config, csr: &Csr<T>) -> (Vec<u64>, usize) {
-    match config.block {
-        BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
-            (sell_unit_weights(csr, c), c)
-        }
-        _ => (csr_unit_weights(csr), 1),
-    }
 }
 
 /// A matrix ready to serve traffic: the storage format and kernel the
@@ -215,26 +161,8 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         placement: Placement,
     ) -> Self {
         let choice = select_extended(model, csr, machine, profile, include_simd);
-        let config = choice.config;
-        let (weights, unit_height) = pool_inputs(config, csr);
-        let pool = SpmvPool::from_csr_placed(
-            csr,
-            n_threads,
-            &weights,
-            unit_height,
-            move |sub| config.build(sub),
-            placement,
-        );
-        PreparedMatrix {
-            config,
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            backend: Backend::Pooled(pool),
-            selection: Some(Selection {
-                model,
-                predicted: choice.predicted,
-            }),
-        }
+        Self::from_config_pooled_placed(choice.config, csr, n_threads, placement)
+            .with_selection(model, choice.predicted)
     }
 
     /// Materializes an explicit configuration on a persistent
@@ -257,20 +185,11 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         n_threads: usize,
         placement: Placement,
     ) -> Self {
-        let (weights, unit_height) = pool_inputs(config, csr);
-        let pool = SpmvPool::from_csr_placed(
-            csr,
-            n_threads,
-            &weights,
-            unit_height,
-            move |sub| config.build(sub),
-            placement,
-        );
         PreparedMatrix {
             config,
             n_rows: csr.n_rows(),
             n_cols: csr.n_cols(),
-            backend: Backend::Pooled(pool),
+            backend: Backend::Pooled(config.pooled(csr, n_threads, placement)),
             selection: None,
         }
     }
@@ -612,6 +531,8 @@ impl<T: SimdScalar> fmt::Debug for Registry<T> {
 mod tests {
     use super::*;
     use spmv_core::Coo;
+    use spmv_kernels::KernelImpl;
+    use spmv_model::BlockConfig;
 
     fn diag(n: usize, scale: f64) -> Csr<f64> {
         let mut coo = Coo::new(n, n);

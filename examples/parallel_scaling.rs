@@ -11,9 +11,6 @@
 //! imbalance the multicore model can consume
 //! (`spmv_model::multicore::predict_threaded_measured`).
 //!
-//! The scoped-thread driver (`ParallelSpmv`) is measured alongside at 4
-//! threads to show the per-call spawn overhead the pool eliminates.
-//!
 //! ```sh
 //! cargo run --release --example parallel_scaling
 //! ```
@@ -24,9 +21,7 @@ use blocked_spmv::gen::{random_vector, GenSpec};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::multicore::imbalance_factor;
 use blocked_spmv::model::timing::measure_spmv;
-use blocked_spmv::parallel::{
-    bcsr_unit_weights, csr_unit_weights, ParallelSpmv, PinPolicy, SpmvPool,
-};
+use blocked_spmv::parallel::{bcsr_unit_weights, csr_unit_weights, PinPolicy, SpmvPool};
 
 fn main() {
     let csr: Csr<f64> = GenSpec::FemBlocks {
@@ -68,7 +63,7 @@ fn main() {
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
             PinPolicy::Compact,
         );
 
@@ -107,25 +102,6 @@ fn main() {
         }
     }
 
-    // The pool's raison d'être: per-call cost vs freshly scoped threads.
-    let scoped = ParallelSpmv::from_csr(&csr, 4, &csr_unit_weights(&csr), 1, Csr::clone);
-    let pooled = SpmvPool::from_csr(
-        &csr,
-        4,
-        &csr_unit_weights(&csr),
-        1,
-        Csr::clone,
-        PinPolicy::Compact,
-    );
-    let t_scoped = measure_spmv(&scoped, &x, 5e-3, 3);
-    let t_pooled = measure_spmv(&pooled, &x, 5e-3, 3);
-    println!(
-        "\n4-thread CSR per call: scoped threads {:.3} ms | pooled {:.3} ms \
-         ({:.1}x per-call cost removed by the pool)",
-        t_scoped * 1e3,
-        t_pooled * 1e3,
-        t_scoped / t_pooled
-    );
     println!(
         "note: speedups require real cores; on a single-core host the \
          2- and 4-thread rows only demonstrate correctness of the partitioning."

@@ -37,10 +37,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blocked_spmv::core::{Csr, MatrixShape, Rng, SpMv};
+use blocked_spmv::formats::FormatKind;
 use blocked_spmv::gen::GenSpec;
 use blocked_spmv::model::{
-    candidate_configs_extended, rank, select_extended, BlockConfig, Config, KernelProfile,
-    MachineProfile, Model,
+    candidate_configs_extended, rank, select_extended, Config, KernelProfile, MachineProfile, Model,
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 use blocked_spmv::tune::{
@@ -229,8 +229,8 @@ fn main() {
         .into_iter()
         .filter(|c| {
             !matches!(
-                c.block,
-                BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_)
+                c.block.kind(),
+                FormatKind::BcsrMasked | FormatKind::BcsdMasked
             )
         })
         .collect();

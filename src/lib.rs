@@ -12,7 +12,7 @@
 //!   [`SpMv`] trait;
 //! * [`kernels`] — per-shape block multiply kernels
 //!   (scalar and SSE2);
-//! * [`formats`] — BCSR, BCSD, BCSR-DEC, BCSD-DEC, 1D-VBL, VBR,
+//! * [`formats`] — BCSR, BCSD, BCSR-DEC, BCSD-DEC, 1D-VBL,
 //!   masked BCSR/BCSD, and SELL-C-σ storage;
 //! * [`gen`] — synthetic matrix generators, the 30-matrix
 //!   evaluation suite, MatrixMarket I/O;
@@ -51,6 +51,6 @@ pub use spmv_core::{
     Coo, Csr, DenseMatrix, Error, IndexWidth, Precision, Result, Scalar, SpMv, SpMvMulti,
 };
 pub use spmv_formats::{
-    Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr,
+    Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl,
 };
 pub use spmv_kernels::{BlockShape, KernelImpl};

@@ -39,7 +39,7 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
                 threads,
                 &csr_unit_weights(&csr),
                 1,
-                |s| CsrDelta::from_csr(s, imp),
+                move |s| CsrDelta::from_csr(s, imp),
                 PinPolicy::None,
             );
             assert_eq!(pool.spmv(&x), serial, "csr-delta {imp} x{threads}");
@@ -50,7 +50,7 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
                 threads,
                 &bcsr_unit_weights(&csr, shape),
                 shape.rows(),
-                |s| Bcsr::from_csr_narrow(s, shape, imp),
+                move |s| Bcsr::from_csr_narrow(s, shape, imp),
                 PinPolicy::None,
             );
             assert_eq!(pool.spmv(&x), serial, "bcsr16 {imp} x{threads}");
@@ -61,7 +61,7 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
                 threads,
                 &bcsd_unit_weights(&csr, 4),
                 4,
-                |s| Bcsd::from_csr_narrow(s, 4, imp),
+                move |s| Bcsd::from_csr_narrow(s, 4, imp),
                 PinPolicy::None,
             );
             assert_eq!(pool.spmv(&x), serial, "bcsd16 {imp} x{threads}");
@@ -72,7 +72,7 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
                 threads,
                 &csr_unit_weights(&csr),
                 1,
-                |s| Vbl::from_csr_narrow(s, imp),
+                move |s| Vbl::from_csr_narrow(s, imp),
                 PinPolicy::None,
             );
             assert_eq!(pool.spmv(&x), serial, "vbl16 {imp} x{threads}");

@@ -6,7 +6,7 @@
 //! past 255).
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, Vbl, Vbr};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 
 const K: usize = 4;
@@ -63,7 +63,6 @@ fn check_all(coo: &Coo<f64>, what: &str) {
                 format!("vbl16 {imp}"),
                 Box::new(Vbl::from_csr_narrow(&csr, imp)),
             ),
-            ("vbr".to_string(), Box::new(Vbr::from_csr(&csr))),
         ];
         for (label, mat) in &formats {
             assert_eq!((mat.n_rows(), mat.n_cols()), (n, m), "{what} {label}");

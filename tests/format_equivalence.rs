@@ -6,7 +6,7 @@
 //! proptest, so the suite builds and shrinks offline.
 
 use blocked_spmv::core::{Coo, Csr, DenseMatrix, SpMv};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl, BCSD_SIZES};
 
 #[path = "support/prop.rs"]
@@ -129,11 +129,6 @@ fn variable_formats_match_dense() {
         vbl.validate().unwrap();
         assert_close(&dense.spmv(&x), &vbl.spmv(&x), "1D-VBL");
         assert_eq!(vbl.nnz_stored(), csr.nnz(), "VBL must not pad");
-
-        let vbr = Vbr::from_csr(&csr);
-        vbr.validate().unwrap();
-        assert_close(&dense.spmv(&x), &vbr.spmv(&x), "VBR");
-        assert_eq!(vbr.nnz_stored(), csr.nnz(), "VBR must not pad");
     });
 }
 
@@ -201,7 +196,6 @@ fn every_format_roundtrips_to_csr() {
             "BCSD-DEC {b}"
         );
         assert_eq!(Vbl::from_csr(&csr, KernelImpl::Scalar).to_csr(), csr);
-        assert_eq!(Vbr::from_csr(&csr).to_csr(), csr);
     });
 }
 

@@ -165,7 +165,7 @@ fn pooled_masked_runs_match_serial_bitwise() {
                 threads,
                 &bcsr_unit_weights(&csr, shape),
                 shape.rows(),
-                |s| BcsrMasked::from_csr(s, shape, imp),
+                move |s| BcsrMasked::from_csr(s, shape, imp),
                 PinPolicy::None,
             );
             assert_eq!(pool.spmv(&x), serial.spmv(&x), "masked {imp:?} x{threads}");

@@ -1,7 +1,8 @@
 //! NUMA partitioning properties: the static splitter's balance
 //! invariants, bitwise reproducibility of the nnz-split fallback, the
-//! model/runtime splitter lockstep, and the flat-hierarchy equivalence
-//! that grounds `predict_threaded_hierarchy` in the pre-NUMA model.
+//! threaded models predicting on the pool's own strips, and the
+//! flat-hierarchy equivalence that grounds `predict_threaded_hierarchy`
+//! in the pre-NUMA model.
 
 #[path = "support/prop.rs"]
 mod prop;
@@ -9,13 +10,14 @@ mod prop;
 use std::sync::Arc;
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
+use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{
-    predict_threaded, predict_threaded_hierarchy, strip_extents, BandwidthHierarchy, Config,
+    predict_threaded, predict_threaded_hierarchy, BandwidthHierarchy, BlockConfig, Config,
     KernelProfile, MachineProfile, Model,
 };
 use blocked_spmv::parallel::{
-    csr_unit_weights, heavy_unit, partition_units, split_segments, units_to_rows, PinPolicy,
-    Placement, SpmvPool, Topology,
+    csr_unit_weights, heavy_unit, partition_units, split_segments, PinPolicy, Placement, SpmvPool,
+    Topology,
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 
@@ -202,23 +204,56 @@ fn single_heavy_row_matrix_splits_and_stays_bitwise() {
     }
 }
 
-/// The model crate re-implements the nnz-greedy splitter to stay
-/// dependency-light; this differential test is what keeps the copy
-/// honest. 100 seeded matrices across thread counts: `strip_extents`
-/// must equal `partition_units` over per-row nnz weights exactly.
+/// The threaded models predict on the strips the pool runs: for blocked
+/// configurations (strips weighed with padding and aligned to block
+/// rows, segments or slices) the model's strips are the pool's, and
+/// `predict_threaded` is the slowest of the pool's own strips.
 #[test]
-fn model_strip_extents_match_runtime_partition() {
-    prop::run("splitter lockstep", 100, |rng, size| {
+fn predict_threaded_uses_the_pooled_strips() {
+    let shape = |r, c| BlockShape::new(r, c).unwrap();
+    let imp = KernelImpl::Scalar;
+    let configs = [
+        BlockConfig::Bcsr(shape(3, 2)),
+        BlockConfig::BcsrDec(shape(2, 2)),
+        BlockConfig::Bcsd(4),
+        BlockConfig::SellCSigma { c: 4, sigma: 1 },
+    ]
+    .map(|block| Config { block, imp });
+    let machine = MachineProfile {
+        bandwidth: 4e9,
+        l1_bytes: 32 << 10,
+        llc_bytes: 8 << 20,
+    };
+    let profile = KernelProfile::uniform(1e-9, 0.5);
+    prop::run("model strips are pool strips", 40, |rng, size| {
         let heavy = rng.bool();
         let csr = random_csr(rng, size, heavy);
-        let weights = csr_unit_weights(&csr);
-        for threads in 1..=6 {
-            let model_side = strip_extents(&csr, threads);
-            let runtime_side = units_to_rows(&partition_units(&weights, threads), 1, csr.n_rows());
-            assert_eq!(
-                model_side, runtime_side,
-                "splitters drifted at threads={threads}"
-            );
+        for config in &configs {
+            for threads in 2..=5 {
+                let pool_strips = config.pooled(&csr, threads, Placement::none()).strip_rows();
+                let model_strips: Vec<_> = config
+                    .strip_rows(&csr, threads)
+                    .into_iter()
+                    .filter(|r| !r.is_empty())
+                    .collect();
+                assert_eq!(model_strips, pool_strips, "{config} threads={threads}");
+                let shared = MachineProfile {
+                    bandwidth: machine.bandwidth / threads as f64,
+                    ..machine
+                };
+                for model in [Model::Mem, Model::MemComp, Model::Overlap] {
+                    let slowest = pool_strips
+                        .iter()
+                        .map(|rows| {
+                            let stats = config.substats(&csr.row_slice(rows.clone()));
+                            model.predict(&stats, &shared, &profile)
+                        })
+                        .fold(0.0, f64::max);
+                    let predicted =
+                        predict_threaded(model, &csr, config, threads, &machine, &profile);
+                    assert_eq!(predicted, slowest, "{config} {model:?} threads={threads}");
+                }
+            }
         }
     });
 }

@@ -1,4 +1,4 @@
-//! Property tests for the multithreaded driver: partitions are valid for
+//! Property tests for the worker pool: partitions are valid for
 //! arbitrary weights, and parallel SpMV equals sequential SpMV for every
 //! format and thread count.
 //!
@@ -15,8 +15,7 @@ use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::parallel::{
-    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, ParallelSpmv,
-    PinPolicy, SpmvPool,
+    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, PinPolicy, SpmvPool,
 };
 
 #[path = "support/prop.rs"]
@@ -75,7 +74,14 @@ fn parallel_csr_equals_sequential() {
         let threads = rng.usize_in(1, 6);
         let csr = Csr::from_coo(&Coo::from_triplets(n, m, entries).unwrap());
         let x: Vec<f64> = (0..m).map(|i| 1.0 + (i % 4) as f64).collect();
-        let par = ParallelSpmv::from_csr(&csr, threads, &csr_unit_weights(&csr), 1, Csr::clone);
+        let par = SpmvPool::from_csr(
+            &csr,
+            threads,
+            &csr_unit_weights(&csr),
+            1,
+            Csr::clone,
+            PinPolicy::None,
+        );
         assert_eq!(par.spmv(&x), csr.spmv(&x));
     });
 }
@@ -90,12 +96,13 @@ fn parallel_bcsr_equals_sequential() {
         let csr = Csr::from_coo(&Coo::from_triplets(n, m, entries).unwrap());
         let x: Vec<f64> = (0..m).map(|i| 1.0 + (i % 4) as f64).collect();
         let want = csr.spmv(&x);
-        let par = ParallelSpmv::from_csr(
+        let par = SpmvPool::from_csr(
             &csr,
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
+            PinPolicy::None,
         );
         let got = par.spmv(&x);
         for (a, g) in want.iter().zip(&got) {
@@ -117,9 +124,14 @@ fn parallel_bcsd_equals_sequential() {
         let csr = Csr::from_coo(&Coo::from_triplets(n, m, entries).unwrap());
         let x: Vec<f64> = (0..m).map(|i| 1.0 + (i % 4) as f64).collect();
         let want = csr.spmv(&x);
-        let par = ParallelSpmv::from_csr(&csr, threads, &bcsd_unit_weights(&csr, b), b, |s| {
-            Bcsd::from_csr(s, b, KernelImpl::Simd)
-        });
+        let par = SpmvPool::from_csr(
+            &csr,
+            threads,
+            &bcsd_unit_weights(&csr, b),
+            b,
+            move |s| Bcsd::from_csr(s, b, KernelImpl::Simd),
+            PinPolicy::None,
+        );
         let got = par.spmv(&x);
         for (a, g) in want.iter().zip(&got) {
             assert!((a - g).abs() < 1e-9);
@@ -186,14 +198,14 @@ fn nnz_unit_weights(csr: &Csr<f64>, unit: usize) -> Vec<u64> {
 fn assert_pool_matches_csr<F, B>(csr: &Csr<f64>, weights: &[u64], unit: usize, build: B)
 where
     F: SpMv<f64> + SpMvMulti<f64> + Send + 'static,
-    B: Fn(&Csr<f64>) -> F,
+    B: Fn(&Csr<f64>) -> F + Clone + Send + Sync + 'static,
 {
     let x: Vec<f64> = (0..csr.n_cols())
         .map(|i| 1.0 + (i % 4) as f64 * 0.5)
         .collect();
     let want = csr.spmv(&x);
     for threads in [1usize, 2, 4] {
-        let pool = SpmvPool::from_csr(csr, threads, weights, unit, &build, PinPolicy::None);
+        let pool = SpmvPool::from_csr(csr, threads, weights, unit, build.clone(), PinPolicy::None);
         // Twice: the second call reuses the already-hot epoch barrier.
         assert_eq!(pool.spmv(&x), want, "{threads} threads, first call");
         assert_eq!(pool.spmv(&x), want, "{threads} threads, second call");
@@ -210,25 +222,31 @@ fn pool_csr_is_bit_identical_to_serial() {
 fn pool_bcsr_is_bit_identical_to_serial() {
     let csr = pool_fixture(97, 53, 0xBEEF);
     let shape = BlockShape::new(2, 3).unwrap();
-    assert_pool_matches_csr(&csr, &bcsr_unit_weights(&csr, shape), shape.rows(), |s| {
-        Bcsr::from_csr(s, shape, KernelImpl::Scalar)
-    });
+    assert_pool_matches_csr(
+        &csr,
+        &bcsr_unit_weights(&csr, shape),
+        shape.rows(),
+        move |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
+    );
 }
 
 #[test]
 fn pool_bcsr_dec_is_bit_identical_to_serial() {
     let csr = pool_fixture(90, 60, 0xC0FFEE);
     let shape = BlockShape::new(2, 2).unwrap();
-    assert_pool_matches_csr(&csr, &nnz_unit_weights(&csr, shape.rows()), shape.rows(), |s| {
-        BcsrDec::from_csr(s, shape, KernelImpl::Scalar)
-    });
+    assert_pool_matches_csr(
+        &csr,
+        &nnz_unit_weights(&csr, shape.rows()),
+        shape.rows(),
+        move |s| BcsrDec::from_csr(s, shape, KernelImpl::Scalar),
+    );
 }
 
 #[test]
 fn pool_bcsd_is_bit_identical_to_serial() {
     let csr = pool_fixture(97, 53, 0xD00D);
     let b = 4;
-    assert_pool_matches_csr(&csr, &bcsd_unit_weights(&csr, b), b, |s| {
+    assert_pool_matches_csr(&csr, &bcsd_unit_weights(&csr, b), b, move |s| {
         Bcsd::from_csr(s, b, KernelImpl::Scalar)
     });
 }
@@ -237,7 +255,7 @@ fn pool_bcsd_is_bit_identical_to_serial() {
 fn pool_bcsd_dec_is_bit_identical_to_serial() {
     let csr = pool_fixture(91, 47, 0xFACE);
     let b = 3;
-    assert_pool_matches_csr(&csr, &nnz_unit_weights(&csr, b), b, |s| {
+    assert_pool_matches_csr(&csr, &nnz_unit_weights(&csr, b), b, move |s| {
         BcsdDec::from_csr(s, b, KernelImpl::Scalar)
     });
 }
@@ -266,7 +284,7 @@ fn pool_simd_kernels_match_csr_closely() {
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
             PinPolicy::None,
         );
         let got = pool.spmv(&x);

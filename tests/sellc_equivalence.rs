@@ -98,7 +98,7 @@ fn pooled_sell_matches_serial_bitwise() {
                             threads,
                             &sell_unit_weights(&csr, c),
                             c,
-                            |s| SellCSigma::from_csr(s, c, sigma, imp),
+                            move |s| SellCSigma::from_csr(s, c, sigma, imp),
                             PinPolicy::None,
                         );
                         assert_eq!(

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv};
-use blocked_spmv::model::{Config, KernelProfile, MachineProfile, Model};
+use blocked_spmv::gen::GenSpec;
+use blocked_spmv::kernels::{BlockShape, KernelImpl};
+use blocked_spmv::model::{BlockConfig, Config, KernelProfile, MachineProfile, Model};
 use blocked_spmv::parallel::PinPolicy;
 use blocked_spmv::serve::{
     EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine, ServeError,
@@ -258,4 +260,33 @@ fn pooled_prepared_matrix_serves_and_shuts_down() {
         engine.submit(id, x).unwrap_err(),
         ServeError::UnknownMatrix(id)
     );
+}
+
+/// Pooled blocked formats split on block rows: with BCSR 3×1 on a
+/// 3-dof FEM matrix every strip starts on a node boundary, so the pool
+/// stores exactly the serial format's elements (no extra padding) and
+/// computes the serial product.
+#[test]
+fn pooled_bcsr_strips_add_no_padding() {
+    let csr: Csr<f64> = GenSpec::FemBlocks {
+        nodes: 400,
+        dof: 3,
+        neighbors: 6,
+    }
+    .build(21);
+    let config = Config {
+        block: BlockConfig::Bcsr(BlockShape::new(3, 1).unwrap()),
+        imp: KernelImpl::Scalar,
+    };
+    let serial = config.build(&csr);
+    let x: Vec<f64> = (0..csr.n_cols()).map(|i| 0.5 + (i % 7) as f64).collect();
+    for threads in 2..=4 {
+        let pooled = PreparedMatrix::from_config_pooled(config, &csr, threads, PinPolicy::None);
+        assert_eq!(
+            pooled.nnz_stored(),
+            serial.nnz_stored(),
+            "threads={threads}"
+        );
+        assert_eq!(pooled.spmv(&x), serial.spmv(&x), "threads={threads}");
+    }
 }

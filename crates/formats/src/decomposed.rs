@@ -54,6 +54,11 @@ impl<T: Scalar, M: MatrixShape> Decomposed<T, M> {
         &self.main
     }
 
+    /// The blocked submatrix, mutably (to switch its kernel in place).
+    pub fn main_mut(&mut self) -> &mut M {
+        &mut self.main
+    }
+
     /// The CSR remainder.
     pub fn rest(&self) -> &Csr<T> {
         &self.rest

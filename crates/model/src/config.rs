@@ -17,6 +17,7 @@ use spmv_parallel::{
     units_to_rows, Placement, SpmvPool,
 };
 use spmv_telemetry::residual::ResidualKey;
+use std::collections::BTreeMap;
 
 /// A storage format plus its block parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -336,6 +337,20 @@ impl Config {
                 }
             }
         }
+    }
+
+    /// The profiled kernels: each distinct [`Config::kernel_key`] of the
+    /// extended search space, mapped to the first configuration of
+    /// [`Config::enumerate_extended`]`(true)` that runs it. The profiler
+    /// measures each key on its representative (BCSR, BCSD and their
+    /// masked variants, CSR-Δ, and SELL with σ = 1), and a profile file
+    /// holds exactly these keys.
+    pub fn profiled_kernels() -> BTreeMap<KernelKey, Config> {
+        let mut table = BTreeMap::new();
+        for config in Config::enumerate_extended(true) {
+            table.entry(config.kernel_key()).or_insert(config);
+        }
+        table
     }
 
     /// Materializes the configuration for `csr`.
@@ -696,6 +711,22 @@ impl KernelKey {
             KernelKey::Sell { c, .. } => c as usize,
         }
     }
+
+    /// The record token of this kernel in a profile file (for example
+    /// `bcsr 2 3 simd`; see `crate::persist`).
+    pub fn record(self) -> String {
+        match self {
+            KernelKey::Csr => "csr".to_string(),
+            KernelKey::Bcsr { shape, imp } => format!("bcsr {} {} {imp}", shape.r, shape.c),
+            KernelKey::Bcsd { b, imp } => format!("bcsd {b} {imp}"),
+            KernelKey::CsrDelta { imp } => format!("csrdelta {imp}"),
+            KernelKey::BcsrMasked { shape, imp } => {
+                format!("bcsrmasked {} {} {imp}", shape.r, shape.c)
+            }
+            KernelKey::BcsdMasked { b, imp } => format!("bcsdmasked {b} {imp}"),
+            KernelKey::Sell { c, imp } => format!("sell {c} {imp}"),
+        }
+    }
 }
 
 impl fmt::Display for KernelKey {
@@ -752,6 +783,40 @@ macro_rules! delegate {
             BuiltFormat::SellCSigma(x) => x.$m($($arg),*),
         }
     };
+}
+
+impl<T: SimdScalar> BuiltFormat<T> {
+    /// Switches the kernel implementation in place (CSR has one kernel;
+    /// the decomposed formats switch their blocked part).
+    pub fn set_kernel_impl(&mut self, imp: KernelImpl) {
+        match self {
+            BuiltFormat::Csr(_) => {}
+            BuiltFormat::Bcsr(x) => x.set_kernel_impl(imp),
+            BuiltFormat::BcsrDec(x) => x.main_mut().set_kernel_impl(imp),
+            BuiltFormat::Bcsd(x) => x.set_kernel_impl(imp),
+            BuiltFormat::BcsdDec(x) => x.main_mut().set_kernel_impl(imp),
+            BuiltFormat::CsrDelta(x) => x.set_kernel_impl(imp),
+            BuiltFormat::BcsrMasked(x) => x.set_kernel_impl(imp),
+            BuiltFormat::BcsdMasked(x) => x.set_kernel_impl(imp),
+            BuiltFormat::SellCSigma(x) => x.set_kernel_impl(imp),
+        }
+    }
+
+    /// Blocks the (main) kernel runs over: the `nb` of eq. (2), `nnz`
+    /// for the unblocked formats.
+    pub fn n_blocks(&self) -> usize {
+        match self {
+            BuiltFormat::Csr(x) => x.nnz(),
+            BuiltFormat::Bcsr(x) => x.n_blocks(),
+            BuiltFormat::BcsrDec(x) => x.main().n_blocks(),
+            BuiltFormat::Bcsd(x) => x.n_blocks(),
+            BuiltFormat::BcsdDec(x) => x.main().n_blocks(),
+            BuiltFormat::CsrDelta(x) => x.nnz(),
+            BuiltFormat::BcsrMasked(x) => x.n_blocks(),
+            BuiltFormat::BcsdMasked(x) => x.n_blocks(),
+            BuiltFormat::SellCSigma(x) => x.n_blocks(),
+        }
+    }
 }
 
 impl<T: SimdScalar> MatrixShape for BuiltFormat<T> {
@@ -854,6 +919,45 @@ mod tests {
     }
 
     #[test]
+    fn profiled_kernels_map_each_key_to_its_first_config() {
+        let ext = Config::enumerate_extended(true);
+        let table = Config::profiled_kernels();
+        let mut keys: Vec<KernelKey> = ext.iter().map(|c| c.kernel_key()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(table.keys().copied().collect::<Vec<_>>(), keys);
+        for (key, config) in &table {
+            let first = ext.iter().find(|c| c.kernel_key() == *key);
+            assert_eq!(Some(config), first, "{key}");
+            // The representatives are the plain formats: no decomposed or
+            // narrow variants, and SELL without sorting.
+            let family = config.block.family();
+            assert!(
+                !family.contains("DEC") && !family.ends_with("16"),
+                "{config}"
+            );
+            if let BlockConfig::SellCSigma { sigma, .. } = config.block {
+                assert_eq!(sigma, 1, "{config}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_kernel_impl_switches_every_built_format_in_place() {
+        let csr = fixture();
+        let x: Vec<f64> = (0..31).map(|i| 1.0 + (i % 3) as f64).collect();
+        for config in Config::enumerate_extended(false) {
+            let simd = Config {
+                imp: KernelImpl::Simd,
+                ..config
+            };
+            let mut built = config.build(&csr);
+            built.set_kernel_impl(KernelImpl::Simd);
+            assert_eq!(built.spmv(&x), simd.build(&csr).spmv(&x), "{config}");
+        }
+    }
+
+    #[test]
     fn substats_bytes_match_materialized_formats() {
         let csr = fixture();
         for config in Config::enumerate_extended(true) {
@@ -873,22 +977,12 @@ mod tests {
         let csr = fixture();
         for config in Config::enumerate_extended(false) {
             let stats = config.substats(&csr);
-            match config.build(&csr) {
-                BuiltFormat::Csr(m) => assert_eq!(stats[0].nb, m.nnz()),
-                BuiltFormat::CsrDelta(m) => assert_eq!(stats[0].nb, m.nnz(), "{config}"),
-                BuiltFormat::Bcsr(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::Bcsd(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::BcsrDec(m) => {
-                    assert_eq!(stats[0].nb, m.main().n_blocks(), "{config}");
-                    assert_eq!(stats[1].nb, m.rest().nnz(), "{config}");
-                }
-                BuiltFormat::BcsdDec(m) => {
-                    assert_eq!(stats[0].nb, m.main().n_blocks(), "{config}");
-                    assert_eq!(stats[1].nb, m.rest().nnz(), "{config}");
-                }
-                BuiltFormat::BcsrMasked(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::BcsdMasked(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::SellCSigma(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
+            let built = config.build(&csr);
+            assert_eq!(stats[0].nb, built.n_blocks(), "{config}");
+            match built {
+                BuiltFormat::BcsrDec(m) => assert_eq!(stats[1].nb, m.rest().nnz(), "{config}"),
+                BuiltFormat::BcsdDec(m) => assert_eq!(stats[1].nb, m.rest().nnz(), "{config}"),
+                _ => assert_eq!(stats.len(), 1, "{config}"),
             }
         }
     }

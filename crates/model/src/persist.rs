@@ -6,46 +6,29 @@
 //! text file so repeated harness runs (and the `spmv-tune` CLI) can skip
 //! recalibration.
 //!
-//! Format (one record per line, whitespace-separated):
+//! Format (one record per line, whitespace-separated; `#` comments and
+//! blank lines are ignored):
 //!
 //! ```text
 //! blocked-spmv-profile v1
 //! machine <bandwidth> <l1_bytes> <llc_bytes>
-//! csr <t_b> <nof>
-//! bcsr <r> <c> <scalar|simd> <t_b> <nof>
-//! bcsd <b> <scalar|simd> <t_b> <nof>
-//! csrdelta <scalar|simd> <t_b> <nof>
-//! bcsrmasked <r> <c> <scalar|simd> <t_b> <nof>
-//! bcsdmasked <b> <scalar|simd> <t_b> <nof>
-//! sell <c> <scalar|simd> <t_b> <nof>
+//! <kernel record> <t_b> <nof>
 //! ```
+//!
+//! A kernel record is [`KernelKey::record`], e.g. `csr`, `bcsr 2 3 simd`
+//! or `sell 4 scalar`. A file must hold exactly one record for every key
+//! of [`Config::profiled_kernels`], the search space's kernels, and no
+//! other.
 
-use crate::config::KernelKey;
+use crate::config::{Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::profile::{BlockTimes, KernelProfile};
 use spmv_core::{Error, Result};
-use spmv_kernels::{BlockShape, KernelImpl};
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
 const MAGIC: &str = "blocked-spmv-profile v1";
-
-fn imp_label(imp: KernelImpl) -> &'static str {
-    match imp {
-        KernelImpl::Scalar => "scalar",
-        KernelImpl::Simd => "simd",
-    }
-}
-
-fn parse_imp(s: &str) -> Result<KernelImpl> {
-    match s {
-        "scalar" => Ok(KernelImpl::Scalar),
-        "simd" => Ok(KernelImpl::Simd),
-        other => Err(Error::InvalidStructure(format!(
-            "unknown kernel implementation `{other}`"
-        ))),
-    }
-}
 
 /// Serializes a calibration to any writer.
 pub fn write_profile<W: Write>(
@@ -63,58 +46,7 @@ pub fn write_profile<W: Write>(
     let mut entries: Vec<(&KernelKey, &BlockTimes)> = profile.iter().collect();
     entries.sort_by_key(|(k, _)| **k);
     for (key, times) in entries {
-        match *key {
-            KernelKey::Csr => writeln!(w, "csr {:e} {:e}", times.t_b, times.nof)?,
-            KernelKey::Bcsr { shape, imp } => writeln!(
-                w,
-                "bcsr {} {} {} {:e} {:e}",
-                shape.r,
-                shape.c,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::Bcsd { b, imp } => writeln!(
-                w,
-                "bcsd {} {} {:e} {:e}",
-                b,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::CsrDelta { imp } => writeln!(
-                w,
-                "csrdelta {} {:e} {:e}",
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::BcsrMasked { shape, imp } => writeln!(
-                w,
-                "bcsrmasked {} {} {} {:e} {:e}",
-                shape.r,
-                shape.c,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::BcsdMasked { b, imp } => writeln!(
-                w,
-                "bcsdmasked {} {} {:e} {:e}",
-                b,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::Sell { c, imp } => writeln!(
-                w,
-                "sell {} {} {:e} {:e}",
-                c,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-        }
+        writeln!(w, "{} {:e} {:e}", key.record(), times.t_b, times.nof)?;
     }
     w.flush()
 }
@@ -129,6 +61,9 @@ pub fn save_profile(
 }
 
 /// Deserializes a calibration from any buffered reader.
+///
+/// Rejects unknown and duplicate records, and a file that misses any
+/// kernel of the search space (the error names the first missing one).
 pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)> {
     let bad = |line: usize, msg: &str| Error::InvalidStructure(format!("line {line}: {msg}"));
     let mut lines = r.lines().enumerate();
@@ -141,8 +76,11 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)>
         return Err(bad(1, "missing profile header"));
     }
 
+    let keys: Vec<KernelKey> = Config::profiled_kernels().into_keys().collect();
+    let by_record: HashMap<String, KernelKey> = keys.iter().map(|&k| (k.record(), k)).collect();
     let mut machine: Option<MachineProfile> = None;
     let mut profile = KernelProfile::default();
+    let mut seen: HashMap<KernelKey, usize> = HashMap::new();
     for (idx, line) in lines {
         let lineno = idx + 1;
         let line = line.map_err(|e| bad(lineno, &e.to_string()))?;
@@ -154,114 +92,41 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)>
         let parse_f64 = |s: &str| -> Result<f64> {
             s.parse().map_err(|_| bad(lineno, "bad float"))
         };
-        match tok[0] {
-            "machine" if tok.len() == 4 => {
-                machine = Some(MachineProfile {
-                    bandwidth: parse_f64(tok[1])?,
-                    l1_bytes: tok[2].parse().map_err(|_| bad(lineno, "bad l1"))?,
-                    llc_bytes: tok[3].parse().map_err(|_| bad(lineno, "bad llc"))?,
-                });
+        if tok[0] == "machine" && tok.len() == 4 {
+            if machine.is_some() {
+                return Err(bad(lineno, "duplicate machine record"));
             }
-            "csr" if tok.len() == 3 => profile.set(
-                KernelKey::Csr,
-                BlockTimes {
-                    t_b: parse_f64(tok[1])?,
-                    nof: parse_f64(tok[2])?,
-                },
-            ),
-            "bcsr" if tok.len() == 6 => {
-                let r: usize = tok[1].parse().map_err(|_| bad(lineno, "bad r"))?;
-                let c: usize = tok[2].parse().map_err(|_| bad(lineno, "bad c"))?;
-                let shape = BlockShape::new(r, c)
-                    .map_err(|e| bad(lineno, &e.to_string()))?;
-                profile.set(
-                    KernelKey::Bcsr {
-                        shape,
-                        imp: parse_imp(tok[3])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[4])?,
-                        nof: parse_f64(tok[5])?,
-                    },
-                );
-            }
-            "bcsd" if tok.len() == 5 => {
-                let b: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad b"))?;
-                if !(1..=8).contains(&b) {
-                    return Err(bad(lineno, "bcsd size out of range"));
-                }
-                profile.set(
-                    KernelKey::Bcsd {
-                        b,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            "csrdelta" if tok.len() == 4 => profile.set(
-                KernelKey::CsrDelta {
-                    imp: parse_imp(tok[1])?,
-                },
-                BlockTimes {
-                    t_b: parse_f64(tok[2])?,
-                    nof: parse_f64(tok[3])?,
-                },
-            ),
-            "bcsrmasked" if tok.len() == 6 => {
-                let r: usize = tok[1].parse().map_err(|_| bad(lineno, "bad r"))?;
-                let c: usize = tok[2].parse().map_err(|_| bad(lineno, "bad c"))?;
-                let shape = BlockShape::new(r, c)
-                    .map_err(|e| bad(lineno, &e.to_string()))?;
-                profile.set(
-                    KernelKey::BcsrMasked {
-                        shape,
-                        imp: parse_imp(tok[3])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[4])?,
-                        nof: parse_f64(tok[5])?,
-                    },
-                );
-            }
-            "bcsdmasked" if tok.len() == 5 => {
-                let b: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad b"))?;
-                if !(1..=8).contains(&b) {
-                    return Err(bad(lineno, "bcsdmasked size out of range"));
-                }
-                profile.set(
-                    KernelKey::BcsdMasked {
-                        b,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            "sell" if tok.len() == 5 => {
-                let c: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad c"))?;
-                if !spmv_kernels::SELL_HEIGHTS.contains(&(c as usize)) {
-                    return Err(bad(lineno, "sell slice height out of range"));
-                }
-                profile.set(
-                    KernelKey::Sell {
-                        c,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            other => return Err(bad(lineno, &format!("unknown record `{other}`"))),
+            machine = Some(MachineProfile {
+                bandwidth: parse_f64(tok[1])?,
+                l1_bytes: tok[2].parse().map_err(|_| bad(lineno, "bad l1"))?,
+                llc_bytes: tok[3].parse().map_err(|_| bad(lineno, "bad llc"))?,
+            });
+            continue;
         }
+        let record = tok[..tok.len().saturating_sub(2)].join(" ");
+        let key = *by_record
+            .get(&record)
+            .ok_or_else(|| bad(lineno, &format!("unknown record `{t}`")))?;
+        if let Some(prev) = seen.insert(key, lineno) {
+            return Err(bad(
+                lineno,
+                &format!("duplicate record `{record}` (first on line {prev})"),
+            ));
+        }
+        let n = tok.len();
+        let times = BlockTimes {
+            t_b: parse_f64(tok[n - 2])?,
+            nof: parse_f64(tok[n - 1])?,
+        };
+        profile.set(key, times);
     }
     let machine = machine.ok_or_else(|| bad(0, "missing machine record"))?;
+    if let Some(key) = keys.iter().find(|k| !seen.contains_key(k)) {
+        return Err(Error::InvalidStructure(format!(
+            "profile has no `{}` record (kernel {key})",
+            key.record()
+        )));
+    }
     Ok((machine, profile))
 }
 
@@ -324,11 +189,82 @@ mod tests {
         assert!(read_profile(bad_sell.as_bytes()).is_err());
     }
 
+    /// A complete written profile with `edit` applied to its text.
+    fn edited(edit: impl FnOnce(String) -> String) -> Result<(MachineProfile, KernelProfile)> {
+        let (machine, profile) = sample();
+        let mut buf = Vec::new();
+        write_profile(&machine, &profile, &mut buf).unwrap();
+        read_profile(edit(String::from_utf8(buf).unwrap()).as_bytes())
+    }
+
+    fn err_text(r: Result<(MachineProfile, KernelProfile)>) -> String {
+        r.expect_err("profile must be rejected").to_string()
+    }
+
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let text = format!("{MAGIC}\n# comment\n\nmachine 2e9 32768 4194304\ncsr 1e-9 0.25\n");
-        let (m, p) = read_profile(text.as_bytes()).unwrap();
-        assert_eq!(m.bandwidth, 2e9);
-        assert_eq!(p.get(KernelKey::Csr).nof, 0.25);
+        let (m, p) = edited(|text| {
+            let text = text.replacen('\n', "\n# comment\n\n", 1);
+            text.replace("\ncsr ", "\n   \n# another comment\ncsr ")
+        })
+        .unwrap();
+        assert_eq!(m, MachineProfile::paper_testbed());
+        assert_eq!(p.get(KernelKey::Csr).nof, 0.42);
+    }
+
+    #[test]
+    fn incomplete_profile_names_the_first_missing_key() {
+        let only_csr = format!("{MAGIC}\nmachine 2e9 32768 4194304\ncsr 1e-9 0.25\n");
+        let err = err_text(read_profile(only_csr.as_bytes()));
+        assert!(err.contains("`bcsr 1 2 scalar`"), "{err}");
+        let err = err_text(edited(|text| {
+            text.lines()
+                .filter(|l| !l.starts_with("sell 8 simd "))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        }));
+        assert!(err.contains("`sell 8 simd`"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_records_are_rejected_by_line() {
+        let err = err_text(edited(|text| text + "csr 1e-9 0.5\n"));
+        assert!(
+            err.contains("duplicate record `csr` (first on line 3)"),
+            "{err}"
+        );
+        let err = err_text(edited(|text| text + "machine 1e9 1 2\n"));
+        assert!(err.contains("duplicate machine record"), "{err}");
+    }
+
+    #[test]
+    fn keys_outside_the_search_space_are_rejected() {
+        for record in ["bcsd 1 scalar", "bcsr 1 1 simd", "sell 16 scalar"] {
+            let err = err_text(edited(|text| format!("{text}{record} 1e-9 0.5\n")));
+            assert!(err.contains("unknown record"), "{record}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_record_token_parses_back_to_its_key() {
+        let keys: Vec<KernelKey> = Config::profiled_kernels().into_keys().collect();
+        let mut text = format!("{MAGIC}\nmachine 1e9 1 2\n");
+        for (i, key) in keys.iter().enumerate() {
+            text += &format!("{} {i} 0.5\n", key.record());
+        }
+        let (_, p) = read_profile(text.as_bytes()).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(p.get(*key).t_b, i as f64, "{key}");
+        }
+    }
+
+    #[test]
+    fn saved_host_profile_rewrites_byte_identically() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/host.profile");
+        let text = std::fs::read_to_string(path).unwrap();
+        let (machine, profile) = read_profile(text.as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        write_profile(&machine, &profile, &mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), text);
     }
 }

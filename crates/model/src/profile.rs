@@ -9,13 +9,11 @@
 //! cache". This module is that profiler; a [`KernelProfile`] is computed
 //! once per (machine, precision) and reused across every matrix.
 
-use crate::config::KernelKey;
+use crate::config::{BlockConfig, BuiltFormat, Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::timing::measure_spmv;
-use spmv_core::{Csr, DenseMatrix, Scalar, SpMv};
-use spmv_formats::{Bcsd, BcsdMasked, Bcsr, BcsrMasked, CsrDelta, SellCSigma};
+use spmv_core::{Csr, DenseMatrix, MatrixShape, Scalar, SpMv};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
 use std::collections::HashMap;
 
 /// Profiled characteristics of one kernel.
@@ -75,47 +73,25 @@ impl KernelProfile {
     /// models' structural reasoning (working sets, block counts, padding)
     /// from kernel-quality noise, and is what deterministic tests use.
     pub fn proportional(per_elem: f64, nof: f64) -> Self {
-        let mut p = Self::uniform(0.0, nof);
-        let keys: Vec<KernelKey> = p.times.keys().copied().collect();
-        for key in keys {
-            p.set(
-                key,
-                BlockTimes {
-                    t_b: key.block_elems() as f64 * per_elem,
-                    nof,
-                },
-            );
-        }
-        p
+        Self::from_fn(|key| BlockTimes {
+            t_b: key.block_elems() as f64 * per_elem,
+            nof,
+        })
     }
 
     /// A synthetic profile for tests: every kernel gets the same `t_b`
     /// and `nof`.
     pub fn uniform(t_b: f64, nof: f64) -> Self {
-        let mut p = KernelProfile::default();
-        let times = BlockTimes { t_b, nof };
-        p.set(KernelKey::Csr, times);
-        for imp in KernelImpl::ALL {
-            p.set(KernelKey::CsrDelta { imp }, times);
+        Self::from_fn(|_| BlockTimes { t_b, nof })
+    }
+
+    /// A synthetic profile over every kernel of
+    /// [`Config::profiled_kernels`].
+    fn from_fn(times: impl Fn(KernelKey) -> BlockTimes) -> Self {
+        let keys = Config::profiled_kernels().into_keys();
+        KernelProfile {
+            times: keys.map(|key| (key, times(key))).collect(),
         }
-        for shape in BlockShape::search_space() {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Bcsr { shape, imp }, times);
-                p.set(KernelKey::BcsrMasked { shape, imp }, times);
-            }
-        }
-        for b in BCSD_SIZES {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Bcsd { b: b as u8, imp }, times);
-                p.set(KernelKey::BcsdMasked { b: b as u8, imp }, times);
-            }
-        }
-        for c in SELL_HEIGHTS {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Sell { c: c as u8, imp }, times);
-            }
-        }
-        p
     }
 }
 
@@ -157,152 +133,29 @@ fn profiling_matrix<T: Scalar>(target_bytes: usize) -> Csr<T> {
 /// when residuals implicate specific kernels, instead of the full
 /// search-space sweep of [`profile_kernels`].
 ///
-/// Each requested key gets the same two measurements the full profiler
-/// takes (`t_b` on an L1-resident dense matrix, `nof` on an out-of-cache
-/// one); duplicate keys are measured once. Cost scales with
+/// Each key is measured on its representative configuration from
+/// [`Config::profiled_kernels`]: `t_b` on an L1-resident dense matrix,
+/// `nof` on an out-of-cache one. Duplicate keys are measured once, and
+/// the scalar and SIMD kernels of one format share one build of each
+/// matrix, switching the kernel in place. Cost scales with
 /// `keys.len()`, not the search-space size.
+///
+/// # Panics
+///
+/// Panics if a key is outside the search space.
 pub fn profile_keys<T: SimdScalar>(
     machine: &MachineProfile,
     opts: &ProfileOptions,
     keys: &[KernelKey],
 ) -> Vec<(KernelKey, BlockTimes)> {
     let _span = spmv_telemetry::span_with("model.profile.keys", keys.len() as u64);
+    let table = Config::profiled_kernels();
     let mut todo: Vec<KernelKey> = keys.to_vec();
-    todo.sort_unstable_by_key(|k| format!("{k}"));
+    todo.sort_unstable();
     todo.dedup();
     if todo.is_empty() {
         return Vec::new();
     }
-    let small_bytes = if opts.small_bytes == 0 {
-        machine.l1_bytes / 2
-    } else {
-        opts.small_bytes
-    };
-    let large_bytes = if opts.large_bytes == 0 {
-        (machine.llc_bytes * 2).min(64 << 20)
-    } else {
-        opts.large_bytes
-    };
-    let small = profiling_matrix::<T>(small_bytes);
-    let large = profiling_matrix::<T>(large_bytes);
-    let x_small: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&small))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-    let x_large: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&large))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-    let nof_of = |t_real: f64, ws_bytes: usize, nb: usize, t_b: f64| -> f64 {
-        let t_mem = ws_bytes as f64 / machine.bandwidth;
-        if nb == 0 || t_b <= 0.0 {
-            return 1.0;
-        }
-        ((t_real - t_mem) / (nb as f64 * t_b)).clamp(0.0, 1.0)
-    };
-    let mut out = Vec::with_capacity(todo.len());
-    for key in todo {
-        let times = match key {
-            KernelKey::Csr => {
-                let t_small = measure_spmv(&small, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small.nnz().max(1) as f64;
-                let t_large = measure_spmv(&large, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(t_large, large.working_set_bytes(), large.nnz(), t_b);
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::CsrDelta { imp } => {
-                let small_d = CsrDelta::from_csr(&small, imp);
-                let large_d = CsrDelta::from_csr(&large, imp);
-                let t_small = measure_spmv(&small_d, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_d.nnz().max(1) as f64;
-                let t_large = measure_spmv(&large_d, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(t_large, large_d.working_set_bytes(), large_d.nnz(), t_b);
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::Bcsr { shape, imp } => {
-                let small_b = Bcsr::from_csr(&small, shape, imp);
-                let large_b = Bcsr::from_csr(&large, shape, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::Bcsd { b, imp } => {
-                let small_b = Bcsd::from_csr(&small, b as usize, imp);
-                let large_b = Bcsd::from_csr(&large, b as usize, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::BcsrMasked { shape, imp } => {
-                let small_b = BcsrMasked::from_csr(&small, shape, imp);
-                let large_b = BcsrMasked::from_csr(&large, shape, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::BcsdMasked { b, imp } => {
-                let small_b = BcsdMasked::from_csr(&small, b as usize, imp);
-                let large_b = BcsdMasked::from_csr(&large, b as usize, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            // Dense rows all share one length, so σ = 1 (no sorting) is
-            // representative of every σ: the slice widths are identical.
-            KernelKey::Sell { c, imp } => {
-                let small_b = SellCSigma::from_csr(&small, c as usize, 1, imp);
-                let large_b = SellCSigma::from_csr(&large, c as usize, 1, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-        };
-        out.push((key, times));
-    }
-    out
-}
-
-/// Measures `t_b` (L1-resident dense) and `nof` (out-of-cache dense) for
-/// every kernel in the search space, both implementations, plus the CSR
-/// baseline kernel.
-pub fn profile_kernels<T: SimdScalar>(
-    machine: &MachineProfile,
-    opts: &ProfileOptions,
-) -> KernelProfile {
-    let _profile_span = spmv_telemetry::span("model.profile");
     let small_bytes = if opts.small_bytes == 0 {
         machine.l1_bytes / 2
     } else {
@@ -320,18 +173,16 @@ pub fn profile_kernels<T: SimdScalar>(
     };
     let small = profiling_matrix::<T>(small_bytes);
     let large = profiling_matrix::<T>(large_bytes);
-    let x_small: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&small))
+    let x_small: Vec<T> = (0..small.n_cols())
         .map(|i| T::from_f64(1.0 + (i % 3) as f64))
         .collect();
-    let x_large: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&large))
+    let x_large: Vec<T> = (0..large.n_cols())
         .map(|i| T::from_f64(1.0 + (i % 3) as f64))
         .collect();
 
-    let mut profile = KernelProfile::default();
-
-    // Shared nof computation (eq. 4): the numerator is the compute time
-    // not hidden behind the streaming transfers, the denominator the
-    // estimated total compute time.
+    // Equation (4): the numerator is the compute time not hidden behind
+    // the streaming transfers, the denominator the estimated total
+    // compute time.
     let nof_of = |t_real: f64, ws_bytes: usize, nb: usize, t_b: f64| -> f64 {
         let t_mem = ws_bytes as f64 / machine.bandwidth;
         if nb == 0 || t_b <= 0.0 {
@@ -340,165 +191,55 @@ pub fn profile_kernels<T: SimdScalar>(
         ((t_real - t_mem) / (nb as f64 * t_b)).clamp(0.0, 1.0)
     };
 
-    // CSR baseline (degenerate 1x1 blocks, nb = nnz).
-    {
-        let _s = spmv_telemetry::span("model.profile.csr");
-        let t_small = measure_spmv(&small, &x_small, opts.min_time, opts.batches);
-        let t_b = t_small / small.nnz() as f64;
-        let t_large = measure_spmv(&large, &x_large, opts.min_time, opts.batches);
-        let nof = nof_of(t_large, large.working_set_bytes(), large.nnz(), t_b);
-        profile.set(KernelKey::Csr, BlockTimes { t_b, nof });
-    }
-
-    // CSR-Δ (degenerate 1x1 blocks like CSR, but the decode cost differs
-    // between implementations, so both are measured).
-    {
-        let _s = spmv_telemetry::span("model.profile.csr_delta");
-        let mut small_d = CsrDelta::from_csr(&small, KernelImpl::Scalar);
-        let mut large_d = CsrDelta::from_csr(&large, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_d.set_kernel_impl(imp);
-            large_d.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_d, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_d.nnz().max(1) as f64;
-            let t_large = measure_spmv(&large_d, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(t_large, large_d.working_set_bytes(), large_d.nnz(), t_b);
-            profile.set(KernelKey::CsrDelta { imp }, BlockTimes { t_b, nof });
+    let mut built: Option<(BlockConfig, BuiltFormat<T>, BuiltFormat<T>)> = None;
+    let mut out = Vec::with_capacity(todo.len());
+    for key in todo {
+        let config = *table
+            .get(&key)
+            .unwrap_or_else(|| panic!("kernel {key} is outside the search space"));
+        // Sorted keys put a format's scalar and SIMD kernels next to
+        // each other, so each format is built once.
+        if built.as_ref().map(|b| b.0) != Some(config.block) {
+            drop(built.take());
+            built = Some((config.block, config.build(&small), config.build(&large)));
         }
-    }
-
-    // BCSR kernels: one construction per shape and size, both
-    // implementations measured by switching the kernel in place.
-    for shape in BlockShape::search_space() {
-        // arg packs the block shape as r*256 + c.
-        let _s = spmv_telemetry::span_with(
-            "model.profile.bcsr",
-            (shape.r as u64) << 8 | shape.c as u64,
+        let (_, small_b, large_b) = built.as_mut().expect("built above");
+        small_b.set_kernel_impl(config.imp);
+        large_b.set_kernel_impl(config.imp);
+        let t_small = measure_spmv(&*small_b, &x_small, opts.min_time, opts.batches);
+        let t_b = t_small / small_b.n_blocks().max(1) as f64;
+        let t_large = measure_spmv(&*large_b, &x_large, opts.min_time, opts.batches);
+        let nof = nof_of(
+            t_large,
+            large_b.working_set_bytes(),
+            large_b.n_blocks(),
+            t_b,
         );
-        let mut small_b = Bcsr::from_csr(&small, shape, KernelImpl::Scalar);
-        let mut large_b = Bcsr::from_csr(&large, shape, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(KernelKey::Bcsr { shape, imp }, BlockTimes { t_b, nof });
-        }
+        out.push((key, BlockTimes { t_b, nof }));
     }
+    out
+}
 
-    // BCSD kernels.
-    for b in BCSD_SIZES {
-        let _s = spmv_telemetry::span_with("model.profile.bcsd", b as u64);
-        let mut small_b = Bcsd::from_csr(&small, b, KernelImpl::Scalar);
-        let mut large_b = Bcsd::from_csr(&large, b, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::Bcsd { b: b as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
+/// Measures `t_b` (L1-resident dense) and `nof` (out-of-cache dense) for
+/// every kernel of [`Config::profiled_kernels`].
+pub fn profile_kernels<T: SimdScalar>(
+    machine: &MachineProfile,
+    opts: &ProfileOptions,
+) -> KernelProfile {
+    let _profile_span = spmv_telemetry::span("model.profile");
+    let keys: Vec<KernelKey> = Config::profiled_kernels().into_keys().collect();
+    KernelProfile {
+        times: profile_keys::<T>(machine, opts, &keys)
+            .into_iter()
+            .collect(),
     }
-
-    // Masked BCSR kernels. The dense profiling matrices have all-ones
-    // masks, so these t_b/nof capture the fast-path cost (mask check +
-    // direct borrow); the partial-block expansion overhead shows up in
-    // the residuals the masked sweep records.
-    for shape in BlockShape::search_space() {
-        let _s = spmv_telemetry::span_with(
-            "model.profile.bcsr_masked",
-            (shape.r as u64) << 8 | shape.c as u64,
-        );
-        let mut small_b = BcsrMasked::from_csr(&small, shape, KernelImpl::Scalar);
-        let mut large_b = BcsrMasked::from_csr(&large, shape, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(KernelKey::BcsrMasked { shape, imp }, BlockTimes { t_b, nof });
-        }
-    }
-
-    // Masked BCSD kernels.
-    for b in BCSD_SIZES {
-        let _s = spmv_telemetry::span_with("model.profile.bcsd_masked", b as u64);
-        let mut small_b = BcsdMasked::from_csr(&small, b, KernelImpl::Scalar);
-        let mut large_b = BcsdMasked::from_csr(&large, b, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::BcsdMasked { b: b as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
-    }
-
-    // SELL slice kernels. Dense rows are uniform, so σ = 1 profiles the
-    // same slice widths any σ would produce.
-    for c in SELL_HEIGHTS {
-        let _s = spmv_telemetry::span_with("model.profile.sell", c as u64);
-        let mut small_b = SellCSigma::from_csr(&small, c, 1, KernelImpl::Scalar);
-        let mut large_b = SellCSigma::from_csr(&large, c, 1, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::Sell { c: c as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
-    }
-
-    profile
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+    use std::collections::BTreeSet;
 
     fn tiny_opts() -> ProfileOptions {
         ProfileOptions {
@@ -519,38 +260,22 @@ mod tests {
         1 + KernelImpl::ALL.len() * (1 + 2 * (shapes + sizes) + SELL_HEIGHTS.len())
     }
 
+    fn key_set(p: &KernelProfile) -> BTreeSet<KernelKey> {
+        p.iter().map(|(k, _)| *k).collect()
+    }
+
     #[test]
     fn profile_covers_the_whole_search_space() {
         let machine = MachineProfile::paper_testbed();
         let p = profile_kernels::<f64>(&machine, &tiny_opts());
-        assert_eq!(p.len(), expected_profile_len());
-        let _ = p.get(KernelKey::Csr);
-        for imp in KernelImpl::ALL {
-            let t = p.get(KernelKey::CsrDelta { imp });
-            assert!(t.t_b > 0.0, "csr-delta t_b must be positive");
-        }
-        for shape in BlockShape::search_space() {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::Bcsr { shape, imp });
-                assert!(t.t_b > 0.0, "t_b must be positive for {shape}");
-                assert!((0.0..=1.0).contains(&t.nof));
-                let tm = p.get(KernelKey::BcsrMasked { shape, imp });
-                assert!(tm.t_b > 0.0, "masked t_b must be positive for {shape}");
-                assert!((0.0..=1.0).contains(&tm.nof));
-            }
-        }
-        for b in BCSD_SIZES {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::BcsdMasked { b: b as u8, imp });
-                assert!(t.t_b > 0.0, "masked t_b must be positive for b={b}");
-            }
-        }
-        for c in SELL_HEIGHTS {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::Sell { c: c as u8, imp });
-                assert!(t.t_b > 0.0, "sell t_b must be positive for c={c}");
-                assert!((0.0..=1.0).contains(&t.nof));
-            }
+        let table: BTreeSet<KernelKey> = Config::profiled_kernels().into_keys().collect();
+        assert_eq!(table.len(), expected_profile_len());
+        assert_eq!(key_set(&p), table);
+        assert_eq!(key_set(&KernelProfile::uniform(1e-9, 0.5)), table);
+        assert_eq!(key_set(&KernelProfile::proportional(1e-9, 0.5)), table);
+        for (key, t) in p.iter() {
+            assert!(t.t_b > 0.0, "{key}: t_b must be positive");
+            assert!((0.0..=1.0).contains(&t.nof), "{key}: nof in [0,1]");
         }
     }
 
@@ -587,47 +312,28 @@ mod tests {
     #[test]
     fn profile_keys_measures_exactly_the_requested_keys() {
         let machine = MachineProfile::paper_testbed();
-        let shape = BlockShape::new(2, 2).unwrap();
-        let keys = [
-            KernelKey::Csr,
-            KernelKey::Bcsr {
-                shape,
-                imp: KernelImpl::Scalar,
-            },
-            KernelKey::Bcsd {
-                b: 4,
-                imp: KernelImpl::Simd,
-            },
-            KernelKey::CsrDelta {
-                imp: KernelImpl::Scalar,
-            },
-            KernelKey::BcsrMasked {
-                shape,
-                imp: KernelImpl::Scalar,
-            },
-            KernelKey::BcsdMasked {
-                b: 4,
-                imp: KernelImpl::Simd,
-            },
-            KernelKey::Sell {
-                c: 4,
-                imp: KernelImpl::Simd,
-            },
-            // Duplicate: measured once.
-            KernelKey::Csr,
-        ];
+        // One key per `KernelKey` variant, plus a duplicate measured once.
+        let mut keys: Vec<KernelKey> = Config::profiled_kernels().into_keys().collect();
+        keys.dedup_by_key(|k| std::mem::discriminant(k));
+        keys.push(KernelKey::Csr);
         let measured = profile_keys::<f64>(&machine, &tiny_opts(), &keys);
-        assert_eq!(measured.len(), 7);
+        assert_eq!(measured.len(), keys.len() - 1);
         for (key, times) in &measured {
             assert!(times.t_b > 0.0, "{key}: t_b must be positive");
             assert!((0.0..=1.0).contains(&times.nof), "{key}: nof in [0,1]");
         }
-        let csr_rows = measured
-            .iter()
-            .filter(|(k, _)| *k == KernelKey::Csr)
-            .count();
-        assert_eq!(csr_rows, 1);
         assert!(profile_keys::<f64>(&machine, &tiny_opts(), &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the search space")]
+    fn profile_keys_rejects_keys_outside_the_search_space() {
+        let machine = MachineProfile::paper_testbed();
+        let key = KernelKey::Bcsd {
+            b: 1,
+            imp: KernelImpl::Scalar,
+        };
+        let _ = profile_keys::<f64>(&machine, &tiny_opts(), &[key]);
     }
 
     #[test]
@@ -647,6 +353,6 @@ mod tests {
     #[test]
     fn profiling_matrix_side_is_multiple_of_8() {
         let m: Csr<f64> = profiling_matrix(16 * 1024);
-        assert_eq!(spmv_core::MatrixShape::n_rows(&m) % 8, 0);
+        assert_eq!(m.n_rows() % 8, 0);
     }
 }

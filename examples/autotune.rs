@@ -48,7 +48,10 @@ fn main() {
         ),
     ];
 
-    println!("calibrating models (bandwidth + 53 kernel profiles) ...");
+    println!(
+        "calibrating models (bandwidth + {} kernel profiles) ...",
+        Config::profiled_kernels().len()
+    );
     let machine = MachineProfile::detect_with(32 << 20);
     let profile = profile_kernels::<f64>(
         &machine,

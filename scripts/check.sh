@@ -44,6 +44,10 @@ smoke masked-disabled --features spmv-telemetry/disabled --bin masked -- \
 smoke sellc-disabled --features spmv-telemetry/disabled --bin sellc -- \
     --n 20000 --reps 2 --trials 1
 
+echo "== selection from the benchmark's saved profile"
+cargo run --release -q --bin spmv-tune -- --suite 1 --scale 0.05 \
+    --profile perfbench/host.profile > /dev/null
+
 echo "== ablation bin and benchmark build"
 cargo run --release -q -p spmv-bench --bin ablation -- --min-time 1 --batches 1 > /dev/null
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

@@ -116,7 +116,10 @@ fn main() {
             })
         }
         path => {
-            println!("calibrating (STREAM triad + 53 kernel profiles) ...");
+            println!(
+                "calibrating (STREAM triad + {} kernel profiles) ...",
+                Config::profiled_kernels().len()
+            );
             let footprint = csr.working_set_bytes().clamp(16 << 20, 256 << 20);
             let machine = MachineProfile::detect_with(footprint);
             let profile = profile_kernels::<f64>(
